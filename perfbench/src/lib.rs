@@ -11,11 +11,11 @@
 //! - [`shard::ShardedE12`] — the hierarchical E12 SoC cut at its bridges
 //!   and run on two shards.
 //!
-//! [`drive`] runs one of them: set-up (timed several times, median
-//! reported), then whole rounds of seeded ops until the time budget is
-//! spent, then the untimed oracle checks. Every round of a run repeats the
-//! same seeded ops, so the exact counts and the output digest of round 1
-//! must reappear bit-for-bit in every later round.
+//! [`drive`] runs one of them: set-up, then whole rounds of seeded ops
+//! until the time budget is spent (with more timed set-ups between them;
+//! the median is reported), then the untimed oracle checks. Every round of
+//! a run repeats the same seeded ops, so the exact counts and the output
+//! digest of round 1 must reappear bit-for-bit in every later round.
 
 pub mod dse;
 pub mod measure;
@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use drcf_kernel::prelude::Fnv1a;
 
-use crate::measure::{mean, median, peak_rss_mb, percentile, Stopwatch};
+use crate::measure::{mean, median, peak_rss_mb, percentile, reset_peak_rss, Stopwatch};
 use crate::trace::{layer_of, Tracer};
 
 /// End-to-end metrics `(name, unit)`, printed by an untraced run.
@@ -129,10 +129,12 @@ pub struct Params {
 }
 
 impl Params {
-    /// Set-up repetitions; the median is reported.
-    fn setup_reps(&self) -> usize {
+    /// Set-up batches per run; the median set-up is reported. The first
+    /// batch runs before round 1, the rest are spread evenly over the time
+    /// budget, between rounds.
+    fn setup_batches(&self) -> usize {
         match self.scale {
-            Scale::Full => 10,
+            Scale::Full => 32,
             Scale::Tiny => 2,
         }
     }
@@ -315,25 +317,8 @@ impl Outcome {
 /// Run workload `b` under `p`.
 pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
     let epoch = Instant::now();
-    // Set-up runs on every worker at once, like the ops, so each one is
-    // timed with all cores busy; each worker drops its previous state
-    // first, so every set-up is measured from nothing.
-    let (setup_s, states) = par_map(
-        p.setup_reps(),
-        || None,
-        |slot: &mut Option<B::State>, _| -> Result<f64, String> {
-            drop(slot.take());
-            let t = Instant::now();
-            *slot = Some(b.prepare(p)?);
-            Ok(t.elapsed().as_secs_f64())
-        },
-    );
-    let setup_s = setup_s.into_iter().collect::<Result<Vec<f64>, String>>()?;
-    let mut st = states
-        .into_iter()
-        .flatten()
-        .next()
-        .ok_or("set-up never ran")?;
+    let mut setup_s = Vec::new();
+    let mut st = setup_batch(b, p, &mut setup_s)?;
 
     let mut tracer = Tracer::new(false, epoch);
     let mut untraced = Timed::default();
@@ -343,8 +328,10 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
     let mut failed = 0u64;
     let mut notes = Vec::new();
     let mut next_op = 0u32;
-    let mut rss = 0.0;
+    let mut rss = Vec::new();
     let t0 = Instant::now();
+    let setup_every = p.seconds / p.setup_batches() as f64;
+    let mut next_setup = setup_every;
     loop {
         // A traced run alternates untraced and traced rounds, so both
         // medians come from the same conditions.
@@ -352,7 +339,15 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
         tracer.set_enabled(tracing);
         let timed = if tracing { &mut traced } else { &mut untraced };
         let before = (timed.lat_ms.len(), timed.wall_s, timed.cpu_s);
+        let peak_resets = reset_peak_rss();
         let r = b.round(&mut st, &mut tracer, timed, next_op)?;
+        // One round is one user job: its peak memory is the process's
+        // resident peak over the round. Where the peak cannot be reset,
+        // only round 1's reading is the job's; later ones would add the
+        // allocator's creep over rounds that repeat it.
+        if !tracing && (peak_resets || rounds == 0) {
+            rss.push(peak_rss_mb());
+        }
         timed.rounds.push((
             timed.lat_ms.len() - before.0,
             timed.wall_s - before.1,
@@ -374,16 +369,16 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
                 }
             }
         }
-        if rounds == 0 {
-            // One round is one user job (a sweep over the round's points);
-            // later rounds repeat it for timing, so the job's peak memory
-            // is the peak after set-up and the first round.
-            rss = peak_rss_mb();
-        }
         rounds += 1;
         let min_rounds = if p.trace { 2 } else { 1 };
         if rounds >= min_rounds && t0.elapsed().as_secs_f64() >= p.seconds {
             break;
+        }
+        // A set-up is shorter than the host's speed phases: batches spread
+        // over the run sample those phases as the rounds do.
+        if t0.elapsed().as_secs_f64() >= next_setup {
+            drop(setup_batch(b, p, &mut setup_s)?);
+            next_setup += setup_every;
         }
     }
     let first = first.ok_or("no round ran")?;
@@ -458,7 +453,7 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
             median(&untraced.lat_ms),
             median(&cpu),
             median(&setup_s),
-            rss,
+            median(&rss),
         ];
         END_TO_END
             .iter()
@@ -476,6 +471,35 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
         notes,
         tracer,
     })
+}
+
+/// Time one set-up per worker, all at once like the ops, so each is timed
+/// with every core busy. Each worker drops its previous state first, so
+/// every set-up starts from nothing. Appends the times to `times` and
+/// returns one of the prepared states.
+fn setup_batch<B: Bench + Sync>(
+    b: &B,
+    p: &Params,
+    times: &mut Vec<f64>,
+) -> Result<B::State, String> {
+    let (batch, states) = par_map(
+        workers(),
+        || None,
+        |slot: &mut Option<B::State>, _| -> Result<f64, String> {
+            drop(slot.take());
+            let t = Instant::now();
+            *slot = Some(b.prepare(p)?);
+            Ok(t.elapsed().as_secs_f64())
+        },
+    );
+    for t in batch {
+        times.push(t?);
+    }
+    states
+        .into_iter()
+        .flatten()
+        .next()
+        .ok_or_else(|| "set-up never ran".to_string())
 }
 
 /// Per-layer metrics every workload derives the same way from its spans.

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use drcf_kernel::json::Json;
-use drcf_perfbench::measure::HostRecord;
+use drcf_perfbench::measure::{machine_mismatch, HostRecord};
 use drcf_perfbench::{json_num, result_line, run_named, Outcome, Params, Scale};
 
 const USAGE: &str =
@@ -179,7 +179,7 @@ fn run(a: &Args) -> Result<bool, String> {
     Ok(o.correct())
 }
 
-/// Compare two result artifacts, refusing when their host records differ.
+/// Compare two result artifacts, refusing when their machines differ.
 fn compare(a: &str, b: &str) -> Result<bool, String> {
     let load = |p: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
@@ -187,9 +187,21 @@ fn compare(a: &str, b: &str) -> Result<bool, String> {
     };
     let (ja, jb) = (load(a)?, load(b)?);
     let (ha, hb) = (ja.get("host"), jb.get("host"));
-    if ha.is_none() || ha != hb {
-        eprintln!("refusing to compare: host records differ\n  {a}: {ha:?}\n  {b}: {hb:?}");
+    let differ = machine_mismatch(ha, hb);
+    if !differ.is_empty() {
+        eprintln!(
+            "refusing to compare: host records differ in {differ:?}\n  {a}: {ha:?}\n  {b}: {hb:?}"
+        );
         return Ok(false);
+    }
+    for k in ["commit", "source_digest"] {
+        let field = |h: Option<&Json>| {
+            h.and_then(|h| h.get(k))
+                .and_then(Json::as_str)
+                .unwrap_or("?")
+                .to_string()
+        };
+        println!("{k:<14} a {}  b {}", field(ha), field(hb));
     }
     let metrics = |j: &Json| -> Vec<(String, f64)> {
         j.get("metrics")

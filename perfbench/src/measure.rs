@@ -5,6 +5,8 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
+use drcf_kernel::json::Json;
+
 #[repr(C)]
 struct Timespec {
     tv_sec: i64,
@@ -65,6 +67,13 @@ pub fn peak_rss_mb() -> f64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Reset the peak resident set size to the current one (Linux `clear_refs`
+/// code 5), so that [`peak_rss_mb`] next reads the peak since now. Returns
+/// whether the kernel accepted the reset.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Linear-interpolated percentile (`q` in [0, 1]) of unsorted samples.
@@ -141,7 +150,7 @@ impl HostRecord {
         }
     }
 
-    /// The fields that decide comparability, as `(name, value)` pairs.
+    /// Every field, as `(name, value)` pairs.
     pub fn fields(&self) -> Vec<(&'static str, String)> {
         vec![
             ("nproc", self.nproc.to_string()),
@@ -152,6 +161,25 @@ impl HostRecord {
             ("store_fs", self.store_fs.clone()),
         ]
     }
+}
+
+/// Host-record fields that describe the machine and toolchain. Two results
+/// are comparable only when these agree. `commit` and `source_digest` name
+/// the code under test, which differs between a parent and a change.
+pub const MACHINE_FIELDS: &[&str] = &["nproc", "rustc", "allocator", "store_fs"];
+
+/// The [`MACHINE_FIELDS`] on which two host records (as stored in result
+/// artifacts) differ or which either lacks.
+pub fn machine_mismatch(a: Option<&Json>, b: Option<&Json>) -> Vec<&'static str> {
+    let field = |h: Option<&Json>, k: &str| h?.get(k)?.as_str().map(str::to_string);
+    MACHINE_FIELDS
+        .iter()
+        .copied()
+        .filter(|k| {
+            let x = field(a, k);
+            x.is_none() || x != field(b, k)
+        })
+        .collect()
 }
 
 /// FNV-1a over every `.rs` and `Cargo.toml` under `crates/`, plus the root
@@ -215,6 +243,24 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(median(&v), 2.5);
+    }
+
+    #[test]
+    fn only_machine_fields_decide_comparability() {
+        let host = |commit: &str, nproc: &str| {
+            Json::parse(&format!(
+                "{{\"nproc\": \"{nproc}\", \"commit\": \"{commit}\", \"source_digest\": \"{commit}\", \
+\"rustc\": \"r\", \"allocator\": \"a\", \"store_fs\": \"ext4\"}}"
+            ))
+            .expect("host record parses")
+        };
+        let parent = host("aaaa", "2");
+        assert!(machine_mismatch(Some(&parent), Some(&host("bbbb", "2"))).is_empty());
+        assert_eq!(
+            machine_mismatch(Some(&parent), Some(&host("aaaa", "4"))),
+            ["nproc"]
+        );
+        assert_eq!(machine_mismatch(Some(&parent), None), MACHINE_FIELDS);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use drcf_core::prelude::all_presets;
 use drcf_kernel::json::Json;
-use drcf_perfbench::dse::{all_level_points, DseCold, DseWarmFork};
+use drcf_perfbench::dse::{all_level_points, design_points, DseCold, DseWarmFork};
 use drcf_perfbench::serve::ServeMixed;
 use drcf_perfbench::shard::ShardedE12;
 use drcf_perfbench::trace::Tracer;
 use drcf_perfbench::{run_named, Bench, Params, Scale, Timed, END_TO_END, PER_LAYER, WORKLOADS};
-use drcf_soc::prelude::{build_soc, run_soc_mut};
+use drcf_soc::prelude::{build_soc, run_soc_mut, Mapping, SocConfigPath};
 
 fn params(tag: &str, seed: u64, trace: bool) -> Params {
     Params {
@@ -132,10 +133,10 @@ fn sharded_runs_take_300_rounds_each() {
     assert_eq!(o.counts["shard.rounds"], 300.0 * ops);
 }
 
-/// Run one round of `b`, perturb op 0's result, and require the oracle to
-/// reject exactly that op while accepting the untouched round.
-fn oracle_trips<B: Bench>(b: &B, tag: &str) {
-    let p = params(tag, 2, false);
+/// Run one round of `b`, perturb op `op`'s result, and require the oracle
+/// to reject that op while accepting the untouched round.
+fn oracle_trips<B: Bench>(b: &B, tag: &str, op: usize) {
+    let p = params(tag, TRIP_SEED, false);
     let mut st = b.prepare(&p).expect("prepare");
     let mut tr = Tracer::new(false, Instant::now());
     let mut timed = Timed::default();
@@ -144,20 +145,54 @@ fn oracle_trips<B: Bench>(b: &B, tag: &str) {
         b.oracle(&mut st, &round).expect("oracle").is_empty(),
         "{tag}: clean round"
     );
-    round.fps[0] ^= 1;
+    round.fps[op] ^= 1;
     let bad = b.oracle(&mut st, &round).expect("oracle");
     assert!(
-        bad.iter().any(|(i, _)| *i == 0),
-        "{tag}: perturbed op 0 not caught"
+        bad.iter().any(|(i, _)| *i == op),
+        "{tag}: perturbed op {op} not caught"
     );
 }
 
+const TRIP_SEED: u64 = 2;
+
 #[test]
 fn oracle_trips_on_a_perturbed_result() {
-    oracle_trips(&DseCold, "perturb-cold");
-    oracle_trips(&DseWarmFork, "perturb-warm");
-    oracle_trips(&ServeMixed, "perturb-serve");
-    oracle_trips(&ShardedE12, "perturb-shard");
+    // The cold oracle compares coalesced with per-burst configuration
+    // traffic, which differ only on a DRCF configured over the system bus.
+    let cold_op = design_points(TRIP_SEED, Scale::Tiny)
+        .iter()
+        .position(|p| {
+            matches!(
+                p.spec.mapping,
+                Mapping::Drcf {
+                    config_path: SocConfigPath::SystemBus,
+                    ..
+                }
+            )
+        })
+        .expect("the tiny cold round has a DRCF configured over the system bus");
+    oracle_trips(&DseCold, "perturb-cold", cold_op);
+    oracle_trips(&DseWarmFork, "perturb-warm", 0);
+    oracle_trips(&ServeMixed, "perturb-serve", 0);
+    oracle_trips(&ShardedE12, "perturb-shard", 0);
+}
+
+#[test]
+fn tiny_cold_round_covers_both_mappings_and_every_technology() {
+    let points = design_points(TRIP_SEED, Scale::Tiny);
+    assert!(points
+        .iter()
+        .any(|p| matches!(p.spec.mapping, Mapping::AllFixed)));
+    let mut techs: Vec<&str> = points
+        .iter()
+        .filter_map(|p| match &p.spec.mapping {
+            Mapping::Drcf { technology, .. } => Some(technology.name),
+            Mapping::AllFixed => None,
+        })
+        .collect();
+    techs.sort_unstable();
+    techs.dedup();
+    assert_eq!(techs.len(), all_presets().len(), "{techs:?}");
 }
 
 #[test]
