@@ -117,11 +117,14 @@ const DIMS: [usize; 7] = [
 ];
 
 /// A seeded grid of level vectors over `dims`. The dimensions in
-/// `factorial` — the ones that set an op's cost — form a full factorial in
-/// nested-loop order, repeated `reps` times; the seed draws every other
-/// dimension, each level balanced over the grid. Rounds from different
-/// seeds thus carry the same cost mix and differ only in how the secondary
-/// dimensions combine with it.
+/// `factorial` — the ones that set an op's cost most — form a full
+/// factorial in nested-loop order, repeated `reps` times; the seed draws
+/// every other dimension. Within each factorial cell a drawn dimension
+/// takes its levels in seeded turns over the cell's `reps` copies, from a
+/// seeded offset balanced over the cells: when `reps` is a multiple of its
+/// level count, every cell sees each of its levels equally often. Rounds
+/// from different seeds thus carry the same cost mix and differ only in
+/// how the drawn dimensions combine with each other.
 pub fn grid(rng: &mut Rng, dims: &[usize], factorial: &[usize], reps: usize) -> Vec<Vec<usize>> {
     let mut cells: Vec<Vec<usize>> = vec![vec![0; dims.len()]];
     for &d in factorial {
@@ -136,29 +139,32 @@ pub fn grid(rng: &mut Rng, dims: &[usize], factorial: &[usize], reps: usize) -> 
             })
             .collect();
     }
-    let one = cells.clone();
-    for _ in 1..reps {
-        cells.extend(one.iter().cloned());
-    }
     let n = cells.len();
+    let mut out: Vec<Vec<usize>> = (0..reps).flat_map(|_| cells.iter().cloned()).collect();
     for (d, &levels) in dims.iter().enumerate() {
-        if !factorial.contains(&d) {
-            for (c, l) in cells.iter_mut().zip(rng.balanced(n, levels)) {
-                c[d] = l;
+        if factorial.contains(&d) {
+            continue;
+        }
+        for (i, offset) in rng.balanced(n, levels).into_iter().enumerate() {
+            for (r, turn) in rng.balanced(reps, levels).into_iter().enumerate() {
+                out[r * n + i][d] = (offset + turn) % levels;
             }
         }
     }
-    cells
+    out
 }
 
-/// The `dse_cold` round: family x size x mapping x technology, twice,
-/// largest sizes first so the round does not end on a long point that
-/// leaves the other workers idle. The tiny round keeps every seventh point
-/// of the smallest size: 7 shares no factor with the 12 mapping x
-/// technology cells, so it still covers every mapping and technology.
+/// Copies of each family x size x mapping x technology cell in a `dse_cold`
+/// round: a multiple of 3 and 2, so every cell sees each configuration
+/// path, copy mode and eviction policy equally often.
+const COLD_REPS: usize = 6;
+
+/// The `dse_cold` round: family x size x mapping x technology, six times.
+/// The tiny round keeps every seventh point of the smallest size: 7 shares
+/// no factor with the 12 mapping x technology cells, so it still covers
+/// every mapping and technology.
 pub fn design_points(seed: u64, scale: Scale) -> Vec<Point> {
-    let mut cells = grid(&mut Rng::new(seed, 1), &DIMS, &[0, 1, 2, 3], 2);
-    cells.sort_by_key(|c| std::cmp::Reverse(c[1]));
+    let mut cells = grid(&mut Rng::new(seed, 1), &DIMS, &[0, 1, 2, 3], COLD_REPS);
     if scale == Scale::Tiny {
         cells.retain(|c| c[1] == 0);
         cells = cells.into_iter().step_by(7).collect();
@@ -384,13 +390,11 @@ pub struct WarmState {
     hash_mb_per_s: Vec<f64>,
 }
 
-/// Points per warm-fork sweep.
-const SWEEP_POINTS: usize = 4;
-
 /// Seeded warm-fork sweeps: family x size x technology x fork fraction,
-/// the seed drawing configuration path, copy mode, eviction and the
-/// clocks. Placing a fork needs the scenario's straight makespan, so each
-/// scenario is run cold once here.
+/// the seed drawing configuration path, copy mode, eviction and the order
+/// of the clocks. A full sweep runs every clock, so the round's tails are
+/// the same for every seed. Placing a fork needs the scenario's straight
+/// makespan, so each scenario is run cold once here.
 pub fn warm_sweeps(seed: u64, scale: Scale) -> Result<Vec<Sweep>, String> {
     let mut rng = Rng::new(seed, 2);
     let mut dims = DIMS.to_vec();
@@ -398,36 +402,28 @@ pub fn warm_sweeps(seed: u64, scale: Scale) -> Result<Vec<Sweep>, String> {
     dims.push(FORK_TENTHS.len());
     let cells = grid(&mut rng, &dims, &[0, 1, 3, 7], 1);
     let (keep, k) = match scale {
-        Scale::Full => (1, SWEEP_POINTS),
+        Scale::Full => (1, CLOCKS.len()),
         Scale::Tiny => (cells.len() / 3, 2),
     };
-    let mut clocks = CLOCKS.to_vec();
-    rng.shuffle(&mut clocks);
     let mut out = Vec::new();
-    for (i, c) in cells.iter().step_by(keep).enumerate() {
+    for c in cells.iter().step_by(keep) {
         let point = point([c[0], c[1], 1, c[3], c[4], c[5], c[6]]);
         let mut soc = build_soc(&point.workload, &point.spec).map_err(|e| e.to_string())?;
         let m = run_soc_mut(&mut soc);
         if !m.ok {
-            return Err(format!("calibration run failed: {:?}", m.error));
+            return Err(format!("fork placement run failed: {:?}", m.error));
         }
         let fork = SimDuration::fs(m.makespan.as_fs() * FORK_TENTHS[c[7]] / 10);
-        // Consecutive windows of one seeded clock order: distinct within a
-        // sweep, every clock equally often over the round.
-        let clocks = (0..k).map(|j| clocks[(i * k + j) % clocks.len()]).collect();
-        out.push((
-            m.makespan,
-            Sweep {
-                point,
-                fork,
-                clocks,
-            },
-        ));
+        let mut clocks = CLOCKS.to_vec();
+        rng.shuffle(&mut clocks);
+        clocks.truncate(k);
+        out.push(Sweep {
+            point,
+            fork,
+            clocks,
+        });
     }
-    // Longest scenarios first, so the round does not end on a long sweep
-    // that leaves the other workers idle.
-    out.sort_by_key(|(makespan, _)| std::cmp::Reverse(*makespan));
-    Ok(out.into_iter().map(|(_, sw)| sw).collect())
+    Ok(out)
 }
 
 /// The cold straight run a warm-fork point must reproduce: run to the

@@ -6,7 +6,7 @@
 //!   after another (the paper's DSE loop).
 //! - [`dse::DseWarmFork`] — warm-fork sweeps: one prefix capture and
 //!   restore per sweep, then rewind + retune + tail per point.
-//! - [`serve::ServeMixed`] — closed-loop clients against an in-process
+//! - [`serve::ServeMixed`] — a closed-loop client against an in-process
 //!   sweep server over loopback, from an empty store.
 //! - [`shard::ShardedE12`] — the hierarchical E12 SoC cut at its bridges
 //!   and run on two shards.
@@ -16,7 +16,10 @@
 //! the median is reported), then the untimed oracle checks. Every round of
 //! a run repeats the same seeded ops, so the exact counts and the output
 //! digest of round 1 must reappear bit-for-bit in every later round.
+//! Every round and set-up is timed between two runs of the fixed
+//! host-speed reference ([`calib`]) and scaled to the host's nominal speed.
 
+pub mod calib;
 pub mod dse;
 pub mod measure;
 pub mod rng;
@@ -129,10 +132,10 @@ pub struct Params {
 }
 
 impl Params {
-    /// Set-up batches per run; the median set-up is reported. The first
-    /// batch runs before round 1, the rest are spread evenly over the time
-    /// budget, between rounds.
-    fn setup_batches(&self) -> usize {
+    /// Set-ups per run; the median set-up is reported. The first runs
+    /// before round 1, the rest are spread evenly over the time budget,
+    /// between rounds.
+    fn setups(&self) -> usize {
         match self.scale {
             Scale::Full => 32,
             Scale::Tiny => 2,
@@ -141,91 +144,35 @@ impl Params {
 }
 
 /// Timing accumulated over the ops of one kind of round (untraced or
-/// traced).
+/// traced). A round records its ops' latencies and adds its times as
+/// measured; [`drive`] then scales the round's latencies to the nominal
+/// host speed ([`calib::factor`]) and appends the scaled round to `rounds`.
 #[derive(Debug, Default, Clone)]
 pub struct Timed {
-    /// Per-op wall latency, ms.
+    /// Per-op wall latency, ms (scaled once the round has ended).
     pub lat_ms: Vec<f64>,
-    /// Timed-region wall, s.
+    /// Timed-region wall, s, as measured.
     pub wall_s: f64,
-    /// Process CPU over the timed region, s.
+    /// Process CPU over the timed region, s, as measured.
     pub cpu_s: f64,
-    /// Per round: `(ops, wall s, CPU s)`.
+    /// Per round, scaled: `(ops, wall s, process CPU s)`.
     pub rounds: Vec<(usize, f64, f64)>,
 }
 
-/// Worker threads of a round: one per core, as the repository's own sweep
-/// drivers use.
-pub fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Map `f` over `0..n` on [`workers`] threads, each pulling the next
-/// index and carrying its own state from `init`. Returns the outputs in
-/// index order and every worker's final state.
-pub fn par_map<S, T, I, F>(n: usize, init: I, f: F) -> (Vec<T>, Vec<S>)
+/// Run one round's `n` items in order on the calling thread, the only
+/// thread that runs ops: one busy thread leaves the host's other cores to
+/// everything else, and the host-speed reference (see [`calib`]) timed on
+/// the same thread sees the core the ops ran on. The round's times go to
+/// `timed`; per-op latencies are the caller's to record.
+pub fn run_items<T, F>(n: usize, tr: &mut Tracer, timed: &mut Timed, mut f: F) -> Vec<T>
 where
-    S: Send,
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, T)>, S)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers().min(n.max(1)))
-            .map(|_| {
-                let (next, init, f) = (&next, &init, &f);
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(&mut state, i)));
-                    }
-                    (out, state)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("benchmark worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut states = Vec::new();
-    for (outs, state) in per_worker {
-        states.push(state);
-        for (i, v) in outs {
-            slots[i] = Some(v);
-        }
-    }
-    let outs = slots
-        .into_iter()
-        .map(|v| v.expect("every index is taken exactly once"))
-        .collect();
-    (outs, states)
-}
-
-/// Run one round's `n` items with [`par_map`], each worker spanning into
-/// its own tracer (merged into `tr` afterwards). The round's wall and
-/// process CPU time go to `timed`; per-op latencies are the caller's to
-/// record.
-pub fn run_items<T, F>(n: usize, tr: &mut Tracer, timed: &mut Timed, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Tracer) -> T + Sync,
+    F: FnMut(usize, &mut Tracer) -> T,
 {
     let sw = Stopwatch::start();
-    let (outs, tracers) = par_map(n, || tr.fork(), |t, i| f(i, t));
+    let outs = (0..n).map(|i| f(i, tr)).collect();
     let (wall, cpu) = sw.stop();
     timed.wall_s += wall;
     timed.cpu_s += cpu;
-    for t in tracers {
-        tr.absorb(t);
-    }
     outs
 }
 
@@ -268,7 +215,8 @@ pub trait Bench {
 
     /// Workload-specific per-layer metrics (host-dependent ones; the exact
     /// counts come from [`Round::counts`]). `traced_ms` holds the traced
-    /// ops' latencies.
+    /// ops' latencies as measured, unscaled, to set beside the other host
+    /// timings the workload takes here.
     fn layer_metrics(
         &self,
         st: &mut Self::State,
@@ -315,10 +263,11 @@ impl Outcome {
 }
 
 /// Run workload `b` under `p`.
-pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
+pub fn drive<B: Bench>(b: &B, p: &Params) -> Result<Outcome, String> {
     let epoch = Instant::now();
     let mut setup_s = Vec::new();
-    let mut st = setup_batch(b, p, &mut setup_s)?;
+    let mut speeds = vec![calib::measure()];
+    let mut st = timed_setup(b, p, &mut speeds, &mut setup_s)?;
 
     let mut tracer = Tracer::new(false, epoch);
     let mut untraced = Timed::default();
@@ -329,8 +278,10 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
     let mut notes = Vec::new();
     let mut next_op = 0u32;
     let mut rss = Vec::new();
+    // Unscaled copies of the untraced and the traced rounds' timings.
+    let mut raw = [Timed::default(), Timed::default()];
     let t0 = Instant::now();
-    let setup_every = p.seconds / p.setup_batches() as f64;
+    let setup_every = p.seconds / p.setups() as f64;
     let mut next_setup = setup_every;
     loop {
         // A traced run alternates untraced and traced rounds, so both
@@ -348,11 +299,16 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
         if !tracing && (peak_resets || rounds == 0) {
             rss.push(peak_rss_mb());
         }
-        timed.rounds.push((
-            timed.lat_ms.len() - before.0,
-            timed.wall_s - before.1,
-            timed.cpu_s - before.2,
-        ));
+        let after = calib::measure();
+        let (wall, cpu) = (timed.wall_s - before.1, timed.cpu_s - before.2);
+        let k = calib::factor(speeds[speeds.len() - 1], after);
+        speeds.push(after);
+        let lat = &mut timed.lat_ms[before.0..];
+        let unscaled = &mut raw[usize::from(tracing)];
+        unscaled.lat_ms.extend_from_slice(lat);
+        unscaled.rounds.push((lat.len(), wall, cpu));
+        lat.iter_mut().for_each(|ms| *ms *= k);
+        timed.rounds.push((lat.len(), wall * k, cpu * k));
         next_op += r.fps.len() as u32;
         failed += r.not_ok.len() as u64;
         match &first {
@@ -374,10 +330,10 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
         if rounds >= min_rounds && t0.elapsed().as_secs_f64() >= p.seconds {
             break;
         }
-        // A set-up is shorter than the host's speed phases: batches spread
+        // A set-up is shorter than the host's speed phases: set-ups spread
         // over the run sample those phases as the rounds do.
         if t0.elapsed().as_secs_f64() >= next_setup {
-            drop(setup_batch(b, p, &mut setup_s)?);
+            drop(timed_setup(b, p, &mut speeds, &mut setup_s)?);
             next_setup += setup_every;
         }
     }
@@ -400,7 +356,7 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
     }
 
     let metrics = if p.trace {
-        let mut vals = b.layer_metrics(&mut st, &traced.lat_ms)?;
+        let mut vals = b.layer_metrics(&mut st, &raw[1].lat_ms)?;
         for (k, v) in &first.counts {
             vals.insert(k, *v);
         }
@@ -435,23 +391,22 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
             "op latency p99 {} ms over {n} samples, {beyond_p99} beyond it; {rounds} rounds of {ops_per_round} ops",
             percentile(&untraced.lat_ms, 0.99)
         ));
+        notes.push(format!(
+            "host-speed reference {} s median over {} runs (nominal {} s); unscaled: ops_per_s {}, op_ms_p50 {}, cpu_ms_per_op {}",
+            median(&speeds),
+            speeds.len(),
+            calib::NOMINAL_S,
+            median(&rates(&raw[0])),
+            median(&raw[0].lat_ms),
+            median(&cpu_ms(&raw[0])),
+        ));
         // Throughput and CPU cost are medians over rounds: every round runs
         // the same ops, and a round that other tenants of the host slowed
         // down falls out of the median instead of dragging the mean.
-        let rates: Vec<f64> = untraced
-            .rounds
-            .iter()
-            .map(|&(n, w, _)| n as f64 / w)
-            .collect();
-        let cpu: Vec<f64> = untraced
-            .rounds
-            .iter()
-            .map(|&(n, _, c)| c * 1e3 / n as f64)
-            .collect();
         let values = [
-            median(&rates),
+            median(&rates(&untraced)),
             median(&untraced.lat_ms),
-            median(&cpu),
+            median(&cpu_ms(&untraced)),
             median(&setup_s),
             median(&rss),
         ];
@@ -473,33 +428,35 @@ pub fn drive<B: Bench + Sync>(b: &B, p: &Params) -> Result<Outcome, String> {
     })
 }
 
-/// Time one set-up per worker, all at once like the ops, so each is timed
-/// with every core busy. Each worker drops its previous state first, so
-/// every set-up starts from nothing. Appends the times to `times` and
-/// returns one of the prepared states.
-fn setup_batch<B: Bench + Sync>(
+/// Ops per second of each round.
+fn rates(t: &Timed) -> Vec<f64> {
+    t.rounds.iter().map(|&(n, w, _)| n as f64 / w).collect()
+}
+
+/// Process CPU ms per op of each round.
+fn cpu_ms(t: &Timed) -> Vec<f64> {
+    t.rounds
+        .iter()
+        .map(|&(n, _, c)| c * 1e3 / n as f64)
+        .collect()
+}
+
+/// Time one set-up, scaled by the host-speed reference runs on either side
+/// of it: the last of `speeds`, and one run after it, appended to `speeds`.
+/// Appends the scaled time to `times` and returns the prepared state.
+fn timed_setup<B: Bench>(
     b: &B,
     p: &Params,
+    speeds: &mut Vec<f64>,
     times: &mut Vec<f64>,
 ) -> Result<B::State, String> {
-    let (batch, states) = par_map(
-        workers(),
-        || None,
-        |slot: &mut Option<B::State>, _| -> Result<f64, String> {
-            drop(slot.take());
-            let t = Instant::now();
-            *slot = Some(b.prepare(p)?);
-            Ok(t.elapsed().as_secs_f64())
-        },
-    );
-    for t in batch {
-        times.push(t?);
-    }
-    states
-        .into_iter()
-        .flatten()
-        .next()
-        .ok_or_else(|| "set-up never ran".to_string())
+    let t = Instant::now();
+    let st = b.prepare(p)?;
+    let wall = t.elapsed().as_secs_f64();
+    let after = calib::measure();
+    times.push(wall * calib::factor(speeds[speeds.len() - 1], after));
+    speeds.push(after);
+    Ok(st)
 }
 
 /// Per-layer metrics every workload derives the same way from its spans.

@@ -1,28 +1,26 @@
-//! `serve_mixed`: closed-loop clients against an in-process sweep server.
+//! `serve_mixed`: a closed-loop client against an in-process sweep server.
 //!
-//! Each round starts a [`SweepServer`] on an empty store and lets one
-//! client per core send its seeded request sequence, each request only
-//! after the previous reply (a closed loop, like `--sweep-client`
-//! callers). The mix repeats answered sweeps (store hits), asks new clock
-//! points on a stored fork (warm), and opens new scenarios or fork offsets
-//! (cold). Clients own disjoint scenarios, so which requests hit is fixed
-//! by the seed, not by thread timing.
+//! Each round starts a [`SweepServer`] with one worker on an empty store
+//! and lets one client, on the benchmark's own thread, send its seeded
+//! request sequence, each request only after the previous reply (a closed
+//! loop, like `--sweep-client` callers). The mix repeats answered sweeps
+//! (store hits), asks new clock points on a stored fork (warm), and opens
+//! new scenarios or fork offsets (cold). One client makes which requests
+//! hit a matter of the seed alone, and keeps the load to one busy thread
+//! at a time on a host with few cores.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 use drcf_dse::prelude::RunRecord;
 use drcf_kernel::json::Json;
 use drcf_kernel::prelude::{ChainDoc, SimDuration, SimTime};
-use drcf_serve::prelude::{
-    process_sweep, Client, SnapshotStore, SweepReply, SweepRequest, SweepServer,
-};
+use drcf_serve::prelude::{process_sweep, Client, SnapshotStore, SweepRequest, SweepServer};
 use drcf_soc::prelude::{build_soc, run_soc_mut, Cpu};
 
-use crate::measure::{median, process_cpu_s};
+use crate::measure::{median, Stopwatch};
 use crate::rng::Rng;
 use crate::trace::Tracer;
 use crate::{fingerprint, Bench, Mismatch, Params, Round, Scale, Timed};
@@ -54,7 +52,7 @@ const FORK_TENTHS: [u64; 5] = [3, 5, 6, 7, 9];
 /// Clock points per request.
 const POINTS: usize = 3;
 
-/// `(frames, samples)` of the scenarios, split round-robin between clients.
+/// `(frames, samples)` of the scenarios.
 const SCENARIOS: [(usize, usize); 8] = [
     (1, 16),
     (1, 24),
@@ -77,28 +75,31 @@ fn makespan_ns(frames: usize, samples: usize) -> Result<u64, String> {
     let mut soc = build_soc(&w, &spec).map_err(|e| e.to_string())?;
     let m = run_soc_mut(&mut soc);
     if !m.ok {
-        return Err(format!("calibration run failed: {:?}", m.error));
+        return Err(format!("fork placement run failed: {:?}", m.error));
     }
     Ok(m.makespan.as_fs() / 1_000_000)
 }
 
-/// `(cold, warm, hit)` requests per client per round. Hits are the
-/// majority, so the median request is a store read; cold requests are the
-/// slowest class, so the tail is a cold miss. With 70% hits the median sits
-/// at the hits' 71st percentile, clear of the class boundary. The full
-/// round opens every one of a client's 20 (scenario, fork) pairs cold.
+/// `(cold, warm, hit)` requests per round. Hits are the majority, so the
+/// median request is a store read; cold requests are the slowest class, so
+/// the tail is a cold miss. With 70% hits the median sits at the hits'
+/// 71st percentile, clear of the class boundary. The full round opens
+/// every one of the 40 (scenario, fork) pairs cold.
 fn mix(scale: Scale) -> (usize, usize, usize) {
     match scale {
-        Scale::Full => (20, 10, 70),
+        Scale::Full => (40, 20, 140),
         Scale::Tiny => (2, 2, 6),
     }
 }
 
-/// Generate one client's request sequence over its own scenarios
+/// Generate the request sequence over the scenarios
 /// `(frames, samples, straight makespan ns)`. Every (scenario, fork) pair
-/// is opened cold once (the first `cold` of them in seeded order, so the
-/// round's cold cost is the same for every seed); warm requests ask three
-/// new clocks on a fork asked before; hits repeat an answered request.
+/// is opened cold once (the first `cold` of them, in seeded order: every
+/// seed opens the same pairs, but an open below a scenario's stored tip
+/// runs from the last stored link before it, from the start if there is
+/// none, and is not stored, so the order moves the cost); warm
+/// requests ask three new clocks on a fork asked before; hits repeat an
+/// answered request.
 fn client_requests(rng: &mut Rng, scenarios: &[(usize, usize, u64)], scale: Scale) -> Vec<Req> {
     let (cold, warm, hit) = mix(scale);
     let mut opens: Vec<(usize, u64)> = (0..scenarios.len())
@@ -162,20 +163,13 @@ fn client_requests(rng: &mut Rng, scenarios: &[(usize, usize, u64)], scale: Scal
     out
 }
 
-/// Generate every client's request sequence.
-pub fn requests(seed: u64, scale: Scale, clients: usize) -> Result<Vec<Vec<Req>>, String> {
-    let mut rng = Rng::new(seed, 4);
+/// Generate the client's request sequence.
+pub fn requests(seed: u64, scale: Scale) -> Result<Vec<Req>, String> {
     let mut sized = Vec::new();
     for &(f, s) in &SCENARIOS {
         sized.push((f, s, makespan_ns(f, s)?));
     }
-    Ok((0..clients)
-        .map(|c| {
-            let mine: Vec<(usize, usize, u64)> =
-                sized.iter().copied().skip(c).step_by(clients).collect();
-            client_requests(&mut rng, &mine, scale)
-        })
-        .collect())
+    Ok(client_requests(&mut Rng::new(seed, 4), &sized, scale))
 }
 
 /// The record a served point must equal: a straight run to the fork, the
@@ -203,27 +197,24 @@ pub fn straight_record(req: &SweepRequest, clock: u64) -> Result<RunRecord, Stri
     RunRecord::from_json(&j).map_err(|e| e.to_string())
 }
 
-/// A running server with one connected client per request sequence.
+/// A running one-worker server with its connected client.
 struct Live {
-    // Field order is drop order: clients hang up before the server joins.
-    clients: Vec<Client>,
+    // Field order is drop order: the client hangs up before the server joins.
+    client: Option<Client>,
     server: Option<SweepServer>,
     dir: PathBuf,
 }
 
 impl Live {
-    fn start(dir: PathBuf, clients: usize) -> Result<Live, String> {
+    fn start(dir: PathBuf) -> Result<Live, String> {
         if dir.exists() {
             std::fs::remove_dir_all(&dir).map_err(|e| e.to_string())?;
         }
         std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let server = SweepServer::start(&dir, clients).map_err(|e| e.to_string())?;
-        let addr = server.addr().to_string();
-        let clients = (0..clients)
-            .map(|_| Client::connect(&addr).map_err(|e| e.to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
+        let server = SweepServer::start(&dir, 1).map_err(|e| e.to_string())?;
+        let client = Client::connect(&server.addr().to_string()).map_err(|e| e.to_string())?;
         Ok(Live {
-            clients,
+            client: Some(client),
             server: Some(server),
             dir,
         })
@@ -232,7 +223,7 @@ impl Live {
 
 impl Drop for Live {
     fn drop(&mut self) {
-        self.clients.clear();
+        self.client = None;
         if let Some(s) = self.server.take() {
             s.shutdown();
         }
@@ -242,7 +233,7 @@ impl Drop for Live {
 
 /// Prepared `serve_mixed` state.
 pub struct ServeState {
-    reqs: Vec<Vec<Req>>,
+    reqs: Vec<Req>,
     live: Option<Live>,
     dir: PathBuf,
     rounds: usize,
@@ -260,15 +251,8 @@ impl Drop for ServeState {
 /// `serve_mixed`.
 pub struct ServeMixed;
 
-/// Client threads: one per core, at most two (the eight scenarios split
-/// into four per client).
-fn client_count() -> usize {
-    std::thread::available_parallelism()
-        .map_or(2, |n| n.get())
-        .clamp(1, 2)
-}
-
-/// A directory of its own for each set-up: several run at once.
+/// A directory of its own for each set-up, as a set-up's state lives on
+/// while the next one is timed.
 fn fresh_dir(base: &Path) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -279,10 +263,9 @@ impl Bench for ServeMixed {
     type State = ServeState;
 
     fn prepare(&self, p: &Params) -> Result<ServeState, String> {
-        let clients = client_count();
-        let reqs = requests(p.seed, p.scale, clients)?;
+        let reqs = requests(p.seed, p.scale)?;
         let dir = fresh_dir(&p.work_dir);
-        let live = Live::start(dir.join("store-0"), clients)?;
+        let live = Live::start(dir.join("store-0"))?;
         Ok(ServeState {
             reqs,
             live: Some(live),
@@ -302,83 +285,52 @@ impl Bench for ServeMixed {
         // Every round starts from an empty store (set-up made round 0's).
         if st.live.is_none() {
             let store = st.dir.join(format!("store-{}", st.rounds));
-            st.live = Some(Live::start(store, st.reqs.len())?);
+            st.live = Some(Live::start(store)?);
         }
         let live = st.live.as_mut().ok_or("no live server")?;
+        let client = live.client.as_mut().ok_or("no client")?;
         let tracing = tr.enabled();
-        let epoch = Instant::now();
-        let barrier = Barrier::new(live.clients.len());
-        type ClientOut = (Vec<(Result<SweepReply, String>, f64)>, Tracer);
-        let reqs = &st.reqs;
-        let mut offsets = Vec::new();
-        let mut off = first_op;
-        for r in reqs {
-            offsets.push(off);
-            off += r.len() as u32;
+        let sw = Stopwatch::start();
+        let mut rows = Vec::with_capacity(st.reqs.len());
+        for (i, r) in st.reqs.iter().enumerate() {
+            tr.set_op(first_op + i as u32);
+            let t = Instant::now();
+            let op = tr.enter("op");
+            let reply = tr.span("serve.request", || client.sweep(&r.req));
+            tr.exit(op);
+            rows.push((
+                reply.map_err(|e| e.to_string()),
+                t.elapsed().as_secs_f64() * 1e3,
+            ));
         }
-        let (outs, wall, cpu) = std::thread::scope(|scope| {
-            let handles: Vec<_> = live
-                .clients
-                .iter_mut()
-                .zip(reqs)
-                .zip(offsets)
-                .map(|((client, seq), base)| {
-                    let barrier = &barrier;
-                    scope.spawn(move || -> ClientOut {
-                        let mut t = Tracer::new(tracing, epoch);
-                        let mut out = Vec::with_capacity(seq.len());
-                        barrier.wait();
-                        for (i, r) in seq.iter().enumerate() {
-                            t.set_op(base + i as u32);
-                            let sw = Instant::now();
-                            let op = t.enter("op");
-                            let reply = t.span("serve.request", || client.sweep(&r.req));
-                            t.exit(op);
-                            out.push((
-                                reply.map_err(|e| e.to_string()),
-                                sw.elapsed().as_secs_f64() * 1e3,
-                            ));
-                        }
-                        (out, t)
-                    })
-                })
-                .collect();
-            let cpu0 = process_cpu_s();
-            let wall0 = Instant::now();
-            let outs: Vec<Option<ClientOut>> = handles.into_iter().map(|h| h.join().ok()).collect();
-            (outs, wall0.elapsed().as_secs_f64(), process_cpu_s() - cpu0)
-        });
-        let mut round = Round::default();
-        let (mut points, mut hits, mut repeats, mut simulated) = (0usize, 0usize, 0usize, 0usize);
-        for (seq, out) in st.reqs.iter().zip(outs) {
-            let (rows, t) = out.ok_or("client thread panicked")?;
-            tr.absorb(t);
-            for (r, (reply, ms)) in seq.iter().zip(rows) {
-                let n = r.req.points.len();
-                let from_cache = reply.as_ref().map_or(0, |rep| rep.from_cache.min(n));
-                if !reply
-                    .as_ref()
-                    .is_ok_and(|rep| rep.records.iter().all(|x| x.ok))
-                {
-                    round.not_ok.push(round.fps.len());
-                }
-                round
-                    .fps
-                    .push(reply.as_ref().map_or(0, |rep| fingerprint(&rep.records)));
-                timed.lat_ms.push(ms);
-                points += n;
-                hits += from_cache;
-                simulated += n - from_cache;
-                if r.class == Class::Hit {
-                    repeats += n;
-                }
-                if tracing {
-                    st.traced.push((r.class, ms));
-                }
-            }
-        }
+        let (wall, cpu) = sw.stop();
         timed.wall_s += wall;
         timed.cpu_s += cpu;
+        let mut round = Round::default();
+        let (mut points, mut hits, mut repeats, mut simulated) = (0usize, 0usize, 0usize, 0usize);
+        for (r, (reply, ms)) in st.reqs.iter().zip(rows) {
+            let n = r.req.points.len();
+            let from_cache = reply.as_ref().map_or(0, |rep| rep.from_cache.min(n));
+            if !reply
+                .as_ref()
+                .is_ok_and(|rep| rep.records.iter().all(|x| x.ok))
+            {
+                round.not_ok.push(round.fps.len());
+            }
+            round
+                .fps
+                .push(reply.as_ref().map_or(0, |rep| fingerprint(&rep.records)));
+            timed.lat_ms.push(ms);
+            points += n;
+            hits += from_cache;
+            simulated += n - from_cache;
+            if r.class == Class::Hit {
+                repeats += n;
+            }
+            if tracing {
+                st.traced.push((r.class, ms));
+            }
+        }
         round
             .counts
             .insert("serve.hit_ratio", hits as f64 / points.max(1) as f64);
@@ -397,7 +349,7 @@ impl Bench for ServeMixed {
     fn oracle(&self, st: &mut ServeState, first: &Round) -> Result<Vec<Mismatch>, String> {
         let mut cache: BTreeMap<(usize, usize, u64, u64), RunRecord> = BTreeMap::new();
         let mut bad = Vec::new();
-        for (i, r) in st.reqs.iter().flatten().enumerate() {
+        for (i, r) in st.reqs.iter().enumerate() {
             let mut expect = Vec::new();
             for &c in &r.req.points {
                 let k = (r.req.frames, r.req.samples, r.req.fork_ns, c);
@@ -436,35 +388,19 @@ impl Bench for ServeMixed {
                 .collect();
             out.insert(key, if p50 > 0.0 { median(&v) / p50 } else { 0.0 });
         }
-        // The same sequences through `process_sweep` in-process, one thread
-        // per client as on the wire, three times on fresh stores: what the
-        // requests cost without the socket and codec.
+        // The same sequence through `process_sweep` in-process, three times
+        // on fresh stores: what the requests cost without the socket and
+        // codec.
         let mut process_ms = Vec::new();
         let mut last = None;
         for pass in 0..3 {
             let dir = st.dir.join(format!("replay-{pass}"));
             let store = SnapshotStore::open(&dir).map_err(|e| e.to_string())?;
-            std::thread::scope(|scope| {
-                let hs: Vec<_> = st
-                    .reqs
-                    .iter()
-                    .map(|seq| {
-                        let store = &store;
-                        scope.spawn(move || {
-                            seq.iter()
-                                .map(|r| {
-                                    let t = Instant::now();
-                                    let _ = process_sweep(store, &r.req);
-                                    t.elapsed().as_secs_f64() * 1e3
-                                })
-                                .collect::<Vec<f64>>()
-                        })
-                    })
-                    .collect();
-                for h in hs {
-                    process_ms.extend(h.join().unwrap_or_default());
-                }
-            });
+            for r in &st.reqs {
+                let t = Instant::now();
+                let _ = process_sweep(&store, &r.req);
+                process_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            }
             if let Some((_, old)) = last.replace((store, dir)) {
                 let _ = std::fs::remove_dir_all(old);
             }
@@ -489,10 +425,10 @@ impl Bench for ServeMixed {
 /// sequences built, and size what is on disk.
 fn store_metrics(
     store: &SnapshotStore,
-    reqs: &[Vec<Req>],
+    reqs: &[Req],
 ) -> Result<BTreeMap<&'static str, f64>, String> {
     let mut keys: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    for r in reqs.iter().flatten() {
+    for r in reqs {
         keys.entry(r.req.key()).or_default().insert(r.req.fork_ns);
     }
     let (mut links, mut records, mut full, mut delta) = (0u64, 0u64, 0u64, 0u64);

@@ -4,7 +4,7 @@
 //!
 //! The timed op is the inline one-shard run: every round of the
 //! conservative window protocol (horizons, envelope exchange, merge,
-//! quiescence checks), with one op per core in flight. The two-shard run
+//! quiescence checks), one op at a time. The two-shard run
 //! is the identity oracle and gives the threaded overhead in the traced
 //! run. On a 2-vCPU host the two-shard wall time follows the hypervisor's
 //! scheduling of both vCPUs more than the code: its run-to-run spread was
@@ -31,6 +31,8 @@ pub const ORACLE_SHARDS: usize = 2;
 const CONFIG_WORDS: [u64; 3] = [1024, 2048, 3072];
 /// Context switches each churner forces.
 const SWITCHES: [u32; 3] = [8, 12, 16];
+/// Probe read counts a variant is dealt: `300 + 25 * level`.
+const PROBE_READ_LEVELS: usize = 9;
 
 /// Prepared `sharded_e12` state.
 pub struct ShardState {
@@ -43,13 +45,12 @@ pub struct ShardState {
 pub struct ShardedE12;
 
 /// Seeded E12 graph variants around the `sharded_e12` hot-path bench:
-/// configuration words x switches, four times; the seed draws each
-/// variant's CPU-local probe read count. The heaviest variants come first,
-/// so a round does not end on a long run that leaves the other workers
-/// idle.
+/// configuration words x switches, four times; the seed deals each
+/// variant one of nine CPU-local probe read counts, each count to four
+/// variants, so a round's total probe reads are the same for every seed.
 pub fn e12_graphs(seed: u64, scale: Scale) -> Vec<Arc<SocGraph>> {
     let mut rng = Rng::new(seed, 5);
-    let mut cells: Vec<(u64, u32)> = match scale {
+    let cells: Vec<(u64, u32)> = match scale {
         Scale::Full => (0..4)
             .flat_map(|_| {
                 CONFIG_WORDS
@@ -59,13 +60,14 @@ pub fn e12_graphs(seed: u64, scale: Scale) -> Vec<Arc<SocGraph>> {
             .collect(),
         Scale::Tiny => vec![(256, 2), (256, 3)],
     };
-    cells.sort_by_key(|&(w, s)| std::cmp::Reverse(w * u64::from(s)));
+    let reads = rng.balanced(cells.len(), PROBE_READ_LEVELS);
     cells
         .into_iter()
-        .map(|(words, switches)| {
+        .zip(reads)
+        .map(|((words, switches), level)| {
             let probe_reads = match scale {
-                Scale::Full => 300 + 20 * rng.below(11) as u32,
-                Scale::Tiny => 10 + rng.below(11) as u32,
+                Scale::Full => 300 + 25 * level as u32,
+                Scale::Tiny => 10 + level as u32,
             };
             Arc::new(sharded_e12_graph(
                 words,

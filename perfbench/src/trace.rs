@@ -61,12 +61,6 @@ impl Tracer {
         }
     }
 
-    /// An empty tracer with this one's epoch and enabled state, for
-    /// another thread; merge it back with [`Tracer::absorb`].
-    pub fn fork(&self) -> Tracer {
-        Tracer::new(self.enabled, self.epoch)
-    }
-
     /// Is this tracer recording?
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -121,18 +115,6 @@ impl Tracer {
         let r = f();
         self.exit(open);
         r
-    }
-
-    /// Append another tracer's spans (e.g. a client thread's), re-basing
-    /// parent indices.
-    pub fn absorb(&mut self, other: Tracer) {
-        let base = self.spans.len() as u32;
-        self.spans.extend(other.spans.into_iter().map(|mut s| {
-            if s.parent != NO_PARENT {
-                s.parent += base;
-            }
-            s
-        }));
     }
 
     /// Recorded spans.

@@ -7,7 +7,8 @@ use std::time::Instant;
 
 use drcf_core::prelude::all_presets;
 use drcf_kernel::json::Json;
-use drcf_perfbench::dse::{all_level_points, design_points, DseCold, DseWarmFork};
+use drcf_perfbench::dse::{all_level_points, design_points, grid, DseCold, DseWarmFork};
+use drcf_perfbench::rng::Rng;
 use drcf_perfbench::serve::ServeMixed;
 use drcf_perfbench::shard::ShardedE12;
 use drcf_perfbench::trace::Tracer;
@@ -193,6 +194,30 @@ fn tiny_cold_round_covers_both_mappings_and_every_technology() {
     techs.sort_unstable();
     techs.dedup();
     assert_eq!(techs.len(), all_presets().len(), "{techs:?}");
+}
+
+#[test]
+fn cold_grid_balances_the_drawn_dimensions_in_every_cell() {
+    // family, size, mapping, technology (the factorial), then configuration
+    // path, copy mode and eviction (drawn), six copies of each cell.
+    let dims = [3, 3, 4, 3, 3, 3, 2];
+    let reps = 6;
+    let cells = grid(&mut Rng::new(5, 1), &dims, &[0, 1, 2, 3], reps);
+    let n = cells.len() / reps;
+    assert_eq!(n, 3 * 3 * 4 * 3);
+    for i in 0..n {
+        for d in 4..dims.len() {
+            let mut seen = vec![0; dims[d]];
+            for r in 0..reps {
+                assert_eq!(cells[r * n + i][..4], cells[i][..4]);
+                seen[cells[r * n + i][d]] += 1;
+            }
+            assert!(
+                seen.iter().all(|&k| k == reps / dims[d]),
+                "cell {i} dim {d}: {seen:?}"
+            );
+        }
+    }
 }
 
 #[test]
