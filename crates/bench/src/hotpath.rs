@@ -410,7 +410,7 @@ const WARM_FORK_POINTS: usize = 16;
 
 /// Everything the warm-fork bench proves beyond its wall measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct WarmForkStats {
+pub struct WarmSweepStats {
     /// Cold-vs-warm wall speedup with the fork at 9/10 of the makespan.
     pub speedup: f64,
     /// Same sweep with the fork at 1/2 of the makespan: a shorter shared
@@ -430,8 +430,8 @@ pub struct WarmForkStats {
 
 /// Measure the warm-fork DSE sweep. Returns the warm measurement (events =
 /// cold-sweep reference dispatch count, seconds = warm wall time at the
-/// 9/10 fork) plus the [`WarmForkStats`] detail.
-pub fn warm_fork_dse() -> (HotpathMeasurement, WarmForkStats) {
+/// 9/10 fork) plus the [`WarmSweepStats`] detail.
+pub fn warm_fork_dse() -> (HotpathMeasurement, WarmSweepStats) {
     use drcf_dse::prelude::*;
     use drcf_soc::prelude::*;
     let w = wireless_receiver(96, 64);
@@ -481,7 +481,7 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmForkStats) {
             let recs = sweep_warm_fork(
                 &points,
                 &snap,
-                WarmFork::default(),
+                0, // delta_chain: one base per worker for the whole sweep
                 || restore_soc(&w, &spec, &snap),
                 |_, soc| {
                     let m = run_soc_mut(soc);
@@ -492,6 +492,8 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmForkStats) {
                     );
                     RunRecord::from_metrics("warm", vec![], &m)
                 },
+                &[],
+                |_, _| {},
             );
             assert!(recs.iter().all(|r| r.ok), "all warm points must succeed");
             secs = secs.min(t1.elapsed().as_secs_f64());
@@ -531,7 +533,7 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmForkStats) {
          snapshotted once at 9/10 of the makespan, one live base rewound copy-on-write per \
          point; identical per-point results asserted, delta round trip hash-checked)",
     );
-    let stats = WarmForkStats {
+    let stats = WarmSweepStats {
         speedup: cold_secs / warm_secs,
         speedup_half: cold_secs / warm_secs_half,
         delta_identical,
@@ -759,7 +761,7 @@ pub fn serve_cache_bench() -> (HotpathMeasurement, ServeCacheStats) {
 /// measurements plus the storm's live coalescing-on-vs-off wall speedup
 /// and the warm-fork stats (speedups at both fork depths, delta
 /// round-trip identity, snapshot sizes).
-pub fn run_suite() -> (Vec<HotpathMeasurement>, f64, WarmForkStats) {
+pub fn run_suite() -> (Vec<HotpathMeasurement>, f64, WarmSweepStats) {
     let (storm, on_vs_off) = ctx_switch_storm();
     let (warm_fork, warm_stats) = warm_fork_dse();
     (

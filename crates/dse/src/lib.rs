@@ -28,10 +28,7 @@ pub mod prelude {
     pub use crate::pareto::{dominates, objectives, pareto_front, Objective};
     pub use crate::partition::{explore_partitions, size_fabric, subsets, PartitionOutcome};
     pub use crate::report::{fmt_ns, fmt_pct, Table};
-    pub use crate::runner::{
-        sweep, sweep_catch, sweep_catch_workers, sweep_partitioned, sweep_serial, sweep_sharded,
-        sweep_warm_fork, sweep_warm_fork_resume, sweep_with, thread_split, WarmFork,
-    };
+    pub use crate::runner::{sweep, sweep_warm_fork, sweep_with};
     pub use crate::space::{cartesian2, cartesian3, linear_steps, pow2_steps};
     pub use crate::trace::{
         chrome_trace, chrome_trace_events, chrome_trace_sharded, jsonl, jsonl_events,

@@ -2,12 +2,21 @@
 //!
 //! Each simulation in this workspace is single-threaded and fully
 //! deterministic, so design-space exploration parallelizes at whole-run
-//! granularity: a scoped thread pool pulls parameter points off a shared
-//! atomic cursor (classic work-stealing-by-index), and results are written
-//! back by point index so parallel and serial sweeps produce identical
-//! record vectors. This is std-only (the environment is offline), but the
-//! contract matches the rayon `par_iter().map().collect()` idiom the
-//! module originally used.
+//! granularity. One std scoped-thread pool does all of it: workers pull
+//! point indices off a shared atomic cursor, carry their own state from
+//! point to point (nothing for a cold sweep, a live simulator base for a
+//! warm-fork sweep), evaluate each point under `catch_unwind`, and stream
+//! results back over a channel by point index — so the records come out in
+//! input order, identical to a serial `points.iter().map(eval)`.
+//!
+//! Three entry points sit on that pool:
+//! - [`sweep`] — cold runs; a panicking point becomes a
+//!   [`RunRecord::failed`] entry.
+//! - [`sweep_with`] — arbitrary payloads; a panic re-panics on the caller
+//!   once every other point has finished.
+//! - [`sweep_warm_fork`] — every point forked copy-on-write from one live
+//!   base per worker, with crash-resume (`done` prefill) and a per-record
+//!   persistence hook.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,6 +24,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use drcf_kernel::prelude::{SimResult, Simulator, Snapshot};
 
 use crate::metrics::RunRecord;
+
+/// Why a point has no result: its worker died outside `catch_unwind`.
+const WORKER_DIED: &str = "sweep worker died before reporting this point";
 
 /// Render a `catch_unwind` payload as a message.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -27,6 +39,69 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A failed record for point `i`.
+fn failed(scenario: &str, i: usize, msg: impl Into<String>) -> RunRecord {
+    RunRecord::failed(scenario, vec![("point".into(), i.to_string())], msg)
+}
+
+/// The worker pool behind every entry point: fills each `None` slot of
+/// `out` with `settle(i, eval(&mut state, i))`.
+///
+/// Up to `available_parallelism` scoped workers (at least one, at most one
+/// per open slot) each own a `W::default()` state that lives on that thread
+/// only, so `W` needs no `Send`. Every evaluation runs under `catch_unwind`
+/// (a panic reaches `settle` as `Err(message)`), and `settle` runs on the
+/// worker before its result is sent to the caller. Results stream back the
+/// moment each point finishes and every worker is joined explicitly: a
+/// worker that dies outside `catch_unwind` (say, a panic payload whose
+/// `Drop` panics while the message is rendered) loses only the point that
+/// killed it, whose slot stays `None`.
+fn pool<W, R, T, E, S>(out: &mut [Option<T>], eval: E, settle: S)
+where
+    W: Default,
+    T: Send,
+    E: Fn(&mut W, usize) -> R + Sync,
+    S: Fn(usize, Result<R, String>) -> T + Sync,
+{
+    let todo: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+    if todo.is_empty() {
+        return;
+    }
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .clamp(1, todo.len());
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (tx, cursor, todo, eval, settle) = (tx.clone(), &cursor, &todo, &eval, &settle);
+                scope.spawn(move || {
+                    let mut state = W::default();
+                    while let Some(&i) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let r = catch_unwind(AssertUnwindSafe(|| eval(&mut state, i)))
+                            .map_err(panic_message);
+                        if tx.send((i, settle(i, r))).is_err() {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Drop the scope's own sender so the drain ends once every worker
+        // has exited (normally or by unwinding, which drops its clone).
+        drop(tx);
+        for (i, t) in rx {
+            out[i] = Some(t);
+        }
+        for h in handles {
+            // A join failure means the thread itself died; its completed
+            // points already arrived over the channel.
+            let _ = h.join();
+        }
+    });
+}
+
 /// Run `eval` over every point, in parallel, preserving order.
 ///
 /// Faults are isolated per point: an evaluation that panics becomes a
@@ -37,96 +112,40 @@ where
     P: Sync,
     F: Fn(&P) -> RunRecord + Sync,
 {
-    sweep_catch(points, eval)
-        .into_iter()
+    let mut out: Vec<Option<RunRecord>> = points.iter().map(|_| None).collect();
+    pool(
+        &mut out,
+        |_: &mut (), i| eval(&points[i]),
+        |i, r| r.unwrap_or_else(|msg| failed("sweep", i, format!("evaluator panicked: {msg}"))),
+    );
+    out.into_iter()
         .enumerate()
-        .map(|(i, r)| match r {
-            Ok(rec) => rec,
-            Err(msg) => RunRecord::failed(
-                "sweep",
-                vec![("point".into(), i.to_string())],
-                format!("evaluator panicked: {msg}"),
-            ),
-        })
+        .map(|(i, r)| r.unwrap_or_else(|| failed("sweep", i, WORKER_DIED)))
         .collect()
 }
 
-/// Tuning knobs for [`sweep_warm_fork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WarmFork {
-    /// Number of copy-on-write forks a worker serves from one live base
-    /// before rebasing — dropping the base and rebuilding it from the full
-    /// snapshot. `0` means never rebase: the base lives for the whole
-    /// sweep, which is fastest but lets the in-place restore chain grow
-    /// unboundedly deep. A small nonzero depth periodically re-proves the
-    /// base against the full document, the warm-fork analogue of
-    /// `SnapshotChain`'s full-snapshot rebase.
-    pub delta_chain: usize,
-}
-
-/// Evaluate one warm-fork point on a worker's live base, (re)building the
-/// base as needed. Returns the record plus whether the base survived.
-#[allow(clippy::too_many_arguments)]
-fn warm_point<P, S, B, F>(
-    i: usize,
-    points: &[P],
-    fork: &Snapshot,
-    cfg: WarmFork,
-    build: &B,
-    eval: &F,
-    base: &mut Option<S>,
-    forks: &mut usize,
-) -> RunRecord
+/// Run `eval` over every point in parallel, returning arbitrary payloads.
+///
+/// A panicking evaluation re-panics *here*, on the caller's thread, but
+/// only after every other point has completed — a worker thread is never
+/// lost to somebody else's bad point. Use [`sweep`] to turn panics into
+/// data instead.
+pub fn sweep_with<P, R, F>(points: &[P], eval: F) -> Vec<R>
 where
-    S: AsMut<Simulator>,
-    B: Fn() -> SimResult<S>,
-    F: Fn(&P, &mut S) -> RunRecord,
+    P: Sync,
+    R: Send,
+    F: Fn(&P) -> R + Sync,
 {
-    let fail =
-        |msg: String| RunRecord::failed("warm-fork", vec![("point".into(), i.to_string())], msg);
-    // Periodic full rebase: bound how many in-place forks one base serves.
-    if cfg.delta_chain > 0 && *forks >= cfg.delta_chain {
-        *base = None;
-        *forks = 0;
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<RunRecord, String> {
-        if base.is_none() {
-            *base = Some(build().map_err(|e| format!("building warm-fork base: {e}"))?);
-        }
-        if let Some(b) = base.as_mut() {
-            // Copy-on-write return to the fork point: only state touched
-            // since the capture is restored. A refusal (the capture fell
-            // out of the simulator's window, or the base is a stranger to
-            // this snapshot) falls back to one cold rebuild, which stands
-            // at the fork by construction.
-            if let Err(e) = b.as_mut().rewind(fork) {
-                *base = None;
-                *base = Some(build().map_err(|err| {
-                    format!("rebuilding warm-fork base after rewind refusal ({e}): {err}")
-                })?);
-            }
-        }
-        match base.as_mut() {
-            Some(b) => Ok(eval(&points[i], b)),
-            None => Err("warm-fork base missing after build".into()),
-        }
-    }));
-    match outcome {
-        Ok(Ok(rec)) => {
-            *forks += 1;
-            rec
-        }
-        Ok(Err(msg)) => {
-            *base = None;
-            fail(msg)
-        }
-        Err(payload) => {
-            // The panic may have left the base mid-mutation; never fork
-            // from it again.
-            *base = None;
-            fail(format!("evaluator panicked: {}", panic_message(payload)))
-        }
-    }
+    let mut out: Vec<Option<Result<R, String>>> = points.iter().map(|_| None).collect();
+    pool(&mut out, |_: &mut (), i| eval(&points[i]), |_, r| r);
+    out.into_iter()
+        .enumerate()
+        .map(|(i, r)| match r {
+            Some(Ok(v)) => v,
+            Some(Err(msg)) => panic!("sweep point {i} panicked: {msg}"),
+            None => panic!("sweep point {i}: {WORKER_DIED}"),
+        })
+        .collect()
 }
 
 /// Warm-fork sweep: every worker keeps ONE live simulator standing at a
@@ -143,315 +162,102 @@ where
 /// applies the point's parameters to the live system and runs the tail —
 /// e.g. via `drcf_soc::prelude::run_soc_mut`.
 ///
-/// [`WarmFork::delta_chain`] bounds how many forks one base serves before
-/// a full rebuild; a rewind refusal or an `eval` panic also retires the
-/// base, so a poisoned point costs one cold build, never the sweep.
+/// `delta_chain` bounds how many forks one base serves before it is
+/// dropped and rebuilt from the full snapshot — the warm-fork analogue of
+/// `SnapshotChain`'s full-snapshot rebase; `0` means the base lives for
+/// the whole sweep. A rewind refusal (the capture fell out of the
+/// simulator's window) costs one cold rebuild, and a panicking `eval`
+/// retires the base, so a poisoned point costs one cold build, never the
+/// sweep.
+///
+/// Crash resume: `done` holds records recovered from an interrupted run of
+/// the same sweep, aligned with `points` (it may be shorter, or empty);
+/// `Some` entries are returned verbatim without simulating. `on_record` is
+/// invoked on the worker for every freshly evaluated record before it is
+/// merged — append it to durable storage there and an interruption at any
+/// instant loses at most the points in flight. Recovered records are not
+/// re-announced.
 ///
 /// Same ordering and fault-isolation contract as [`sweep`]: one record per
 /// point, in input order, panics becoming `RunRecord::failed` entries.
-pub fn sweep_warm_fork<P, S, B, F>(
+pub fn sweep_warm_fork<P, S, B, F, O>(
     points: &[P],
     fork: &Snapshot,
-    cfg: WarmFork,
-    build: B,
-    eval: F,
-) -> Vec<RunRecord>
-where
-    P: Sync,
-    B: Fn() -> SimResult<S> + Sync,
-    F: Fn(&P, &mut S) -> RunRecord + Sync,
-    S: AsMut<Simulator>,
-{
-    sweep_warm_fork_resume(points, fork, cfg, build, eval, &[], &|_, _| {})
-}
-
-/// Crash-resumable [`sweep_warm_fork`]: skip already-finished points and
-/// stream each completed record out as it lands.
-///
-/// `done` holds the records recovered from a previous (interrupted) run of
-/// the same sweep, aligned with `points`; `Some` entries are returned
-/// verbatim without simulating, `None` (or missing — `done` may be shorter
-/// than `points`, including empty) entries are evaluated. `on_record` is
-/// invoked on the worker thread for every *freshly evaluated* record,
-/// before the result is merged — a persistence hook: append the record to
-/// durable storage there and an interruption at any instant loses at most
-/// the points currently in flight. Recovered records are not re-announced.
-///
-/// Ordering and fault isolation are exactly [`sweep_warm_fork`]'s: one
-/// record per point, in input order.
-pub fn sweep_warm_fork_resume<P, S, B, F>(
-    points: &[P],
-    fork: &Snapshot,
-    cfg: WarmFork,
+    delta_chain: usize,
     build: B,
     eval: F,
     done: &[Option<RunRecord>],
-    on_record: &(dyn Fn(usize, &RunRecord) + Sync),
+    on_record: O,
 ) -> Vec<RunRecord>
 where
     P: Sync,
     B: Fn() -> SimResult<S> + Sync,
     F: Fn(&P, &mut S) -> RunRecord + Sync,
+    O: Fn(usize, &RunRecord) + Sync,
     S: AsMut<Simulator>,
 {
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out: Vec<Option<RunRecord>> = (0..n)
-        .map(|i| done.get(i).cloned().unwrap_or(None))
+    let mut out: Vec<Option<RunRecord>> = (0..points.len())
+        .map(|i| done.get(i).cloned().flatten())
         .collect();
-    let todo: Vec<usize> = (0..n).filter(|&i| out[i].is_none()).collect();
-    if !todo.is_empty() {
-        let workers = hw_threads().clamp(1, todo.len());
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, RunRecord)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let todo = &todo;
-                let build = &build;
-                let eval = &eval;
-                scope.spawn(move || {
-                    // The live base is thread-local: it is born, forked, and
-                    // retired on this worker, so `S` needs no Send/Sync.
-                    let mut base: Option<S> = None;
-                    let mut forks = 0usize;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = todo.get(k) else {
-                            break;
-                        };
-                        let rec =
-                            warm_point(i, points, fork, cfg, build, eval, &mut base, &mut forks);
-                        on_record(i, &rec);
-                        if tx.send((i, rec)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (i, rec) in rx {
-                out[i] = Some(rec);
-            }
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or_else(|| {
-                RunRecord::failed(
-                    "warm-fork",
-                    vec![("point".into(), i.to_string())],
-                    "worker died before reporting",
-                )
-            })
-        })
-        .collect()
-}
-
-/// Serial reference implementation (for equivalence tests and debugging).
-pub fn sweep_serial<P, F>(points: &[P], eval: F) -> Vec<RunRecord>
-where
-    F: Fn(&P) -> RunRecord,
-{
-    points.iter().map(&eval).collect()
-}
-
-/// Run `eval` over every point in parallel, returning arbitrary payloads.
-///
-/// A panicking evaluation re-panics *here*, on the caller's thread, but
-/// only after every other point has completed — a worker thread is never
-/// lost to somebody else's bad point. Use [`sweep`] (or [`sweep_catch`]
-/// directly) to turn panics into data instead.
-pub fn sweep_with<P, R, F>(points: &[P], eval: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    sweep_catch(points, eval)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(v) => v,
-            Err(msg) => panic!("sweep point {i} panicked: {msg}"),
-        })
-        .collect()
-}
-
-/// Hardware threads available to this process.
-fn hw_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Split the machine's thread budget between sweep points and simulation
-/// shards ([`drcf_kernel::shard`]): returns `(point_workers,
-/// shards_per_point)` such that `point_workers * shards_per_point` stays
-/// within the hardware parallelism.
-///
-/// Point-level parallelism is the better deal (zero synchronization), so
-/// it gets priority: shards only receive threads the points cannot use —
-/// a sweep of 16 points on 16 cores runs 16 × 1-shard, while a sweep of 2
-/// points on 16 cores runs 2 × 8-shard.
-pub fn thread_split(n_points: usize, shards_per_point: usize) -> (usize, usize) {
-    let par = hw_threads();
-    let want_shards = shards_per_point.max(1);
-    let point_workers = par.min(n_points.max(1));
-    let shard_budget = (par / point_workers).clamp(1, want_shards);
-    (point_workers, shard_budget)
-}
-
-/// [`sweep`] with the per-point shard budget from [`thread_split`]: `eval`
-/// receives each point plus the shard count it should run with.
-pub fn sweep_sharded<P, F>(points: &[P], shards_per_point: usize, eval: F) -> Vec<RunRecord>
-where
-    P: Sync,
-    F: Fn(&P, usize) -> RunRecord + Sync,
-{
-    let (workers, shards) = thread_split(points.len(), shards_per_point);
-    sweep_catch_workers(points, workers, |p| eval(p, shards))
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(rec) => rec,
-            Err(msg) => RunRecord::failed(
-                "sweep",
-                vec![("point".into(), i.to_string())],
-                format!("evaluator panicked: {msg}"),
-            ),
-        })
-        .collect()
-}
-
-/// Sweep arbitrary SoC graphs through the automatic partitioner
-/// ([`drcf_soc::partition`]): `plan` maps each point to its scenario
-/// parameters, a [`drcf_soc::prelude::SocGraph`] and a base
-/// [`drcf_kernel::prelude::ShardConfig`]; the runner splits the machine's
-/// thread budget between sweep points and per-point simulation shards with
-/// [`thread_split`] and runs every graph with `run_partitioned` under its
-/// granted shard count. Because sharded execution is bit-identical to the
-/// single-LP oracle by construction, the records are independent of the
-/// budget split.
-///
-/// Same ordering and fault-isolation contract as [`sweep`]: one
-/// [`RunRecord`] per point, in input order; a failed or panicking point
-/// becomes a `RunRecord::failed` entry and every other point completes.
-pub fn sweep_partitioned<P, F>(points: &[P], shards_per_point: usize, plan: F) -> Vec<RunRecord>
-where
-    P: Sync,
-    F: Fn(
-            &P,
-        ) -> (
-            Vec<(String, String)>,
-            std::sync::Arc<drcf_soc::prelude::SocGraph>,
-            drcf_kernel::prelude::ShardConfig,
-        ) + Sync,
-{
-    let (workers, shards) = thread_split(points.len(), shards_per_point);
-    sweep_catch_workers(points, workers, |p| {
-        let (params, graph, cfg) = plan(p);
-        match drcf_soc::prelude::run_partitioned(&graph, &cfg.shards(shards)) {
-            Ok(run) => RunRecord::from_metrics("partitioned", params, &run.metrics),
-            Err(e) => RunRecord::failed("partitioned", params, e.to_string()),
+    // Worker state: the live base and how many forks it has served.
+    let point = |(base, forks): &mut (Option<S>, usize), i: usize| {
+        if delta_chain > 0 && *forks >= delta_chain {
+            *base = None;
+            *forks = 0;
         }
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, r)| match r {
-        Ok(rec) => rec,
-        Err(msg) => RunRecord::failed(
-            "partitioned",
-            vec![("point".into(), i.to_string())],
-            format!("evaluator panicked: {msg}"),
-        ),
-    })
-    .collect()
-}
-
-/// Run `eval` over every point in parallel with per-point fault isolation:
-/// each evaluation runs under `catch_unwind`, so the result vector has one
-/// entry per point, in order — `Ok(payload)` or `Err(panic message)`.
-pub fn sweep_catch<P, R, F>(points: &[P], eval: F) -> Vec<Result<R, String>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    sweep_catch_workers(points, hw_threads(), eval)
-}
-
-/// [`sweep_catch`] with an explicit worker-thread count (the point-level
-/// half of a [`thread_split`] budget). `workers` is clamped to
-/// `[1, points.len()]`.
-pub fn sweep_catch_workers<P, R, F>(points: &[P], workers: usize, eval: F) -> Vec<Result<R, String>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    let n = points.len();
-    let run_point =
-        |i: usize| catch_unwind(AssertUnwindSafe(|| eval(&points[i]))).map_err(panic_message);
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(run_point).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    // Results stream back over a channel the moment each point finishes.
-    // Batching them in a per-worker Vec returned through join() loses every
-    // completed point of a worker that dies mid-sweep (a panic that escapes
-    // catch_unwind, e.g. a panic payload whose Drop itself panics while the
-    // message is rendered) — only the point that killed the worker should
-    // surface as an error.
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<R, String>)>();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let run_point = &run_point;
-                let tx = tx.clone();
-                s.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = run_point(i);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                })
-            })
-            .collect();
-        // Drop the scope's own sender so the drain ends once every worker
-        // has exited (normally or by unwinding, which drops its clone).
-        drop(tx);
-        for (i, r) in rx {
-            out[i] = Some(r);
+        // The base is out of its slot while the point runs: a panic leaves
+        // the slot empty, so a base possibly left mid-mutation is never
+        // forked from again.
+        let mut b = match base.take().map_or_else(&build, Ok) {
+            Ok(b) => b,
+            Err(e) => return failed("warm-fork", i, format!("building warm-fork base: {e}")),
+        };
+        // Copy-on-write return to the fork point. A refusal falls back to
+        // one cold rebuild, which stands at the fork by construction.
+        if let Err(e) = b.as_mut().rewind(fork) {
+            drop(b);
+            b = match build() {
+                Ok(b) => b,
+                Err(err) => {
+                    let msg =
+                        format!("rebuilding warm-fork base after rewind refusal ({e}): {err}");
+                    return failed("warm-fork", i, msg);
+                }
+            };
         }
-        for h in handles {
-            // Workers catch evaluation panics, so a join failure means the
-            // thread itself died; its completed points already arrived over
-            // the channel and anything unclaimed surfaces as Err below.
-            let _ = h.join();
-        }
+        let rec = eval(&points[i], &mut b);
+        *base = Some(b);
+        *forks += 1;
+        rec
+    };
+    pool(&mut out, point, |i, r| {
+        let rec =
+            r.unwrap_or_else(|msg| failed("warm-fork", i, format!("evaluator panicked: {msg}")));
+        on_record(i, &rec);
+        rec
     });
     out.into_iter()
-        .map(|r| r.unwrap_or_else(|| Err("point not evaluated (sweep worker died)".into())))
+        .enumerate()
+        .map(|(i, r)| r.unwrap_or_else(|| failed("warm-fork", i, WORKER_DIED)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drcf_kernel::prelude::SimDuration;
     use drcf_soc::prelude::*;
+
+    /// A panic payload whose `Drop` panics: it detonates *after*
+    /// `catch_unwind`, while the message is rendered, so the worker thread
+    /// itself dies.
+    struct Bomb;
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                panic!("panic payload detonated on drop");
+            }
+        }
+    }
 
     fn eval_frames(frames: &usize) -> RunRecord {
         let w = wireless_receiver(*frames, 32);
@@ -460,11 +266,62 @@ mod tests {
         RunRecord::from_metrics("frames", vec![("frames".into(), frames.to_string())], &m)
     }
 
+    /// Point `p`'s record of a run with metrics `m`.
+    fn tag(p: usize, m: &RunMetrics) -> RunRecord {
+        RunRecord::from_metrics("p", vec![("p".into(), p.to_string())], m)
+    }
+
+    /// A straight run plus a prefix snapshot halfway through it.
+    struct Fork {
+        w: Workload,
+        spec: SocSpec,
+        snap: Snapshot,
+        straight: RunMetrics,
+    }
+
+    impl Fork {
+        fn new() -> Fork {
+            let w = wireless_receiver(2, 32);
+            let spec = SocSpec::default();
+            let (straight, _) = run_soc(build_soc(&w, &spec).expect("build"));
+            assert!(straight.ok);
+            let at = drcf_kernel::prelude::SimDuration::fs(straight.makespan.as_fs() / 2);
+            let snap = snapshot_prefix(&w, &spec, at).expect("prefix");
+            Fork {
+                w,
+                spec,
+                snap,
+                straight,
+            }
+        }
+
+        /// Warm-fork `points`, tagging each tail run with its point unless
+        /// `before_tail` panics first.
+        fn sweep(&self, points: &[usize], before_tail: impl Fn(usize) + Sync) -> Vec<RunRecord> {
+            sweep_warm_fork(
+                points,
+                &self.snap,
+                0,
+                || restore_soc(&self.w, &self.spec, &self.snap),
+                |&p, soc| {
+                    before_tail(p);
+                    tag(p, &run_soc_mut(soc))
+                },
+                &[],
+                |_, _| {},
+            )
+        }
+    }
+
+    fn multi_threaded() -> bool {
+        std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2
+    }
+
     #[test]
     fn parallel_equals_serial() {
         let points = vec![1usize, 2, 3];
         let par = sweep(&points, eval_frames);
-        let ser = sweep_serial(&points, eval_frames);
+        let ser: Vec<RunRecord> = points.iter().map(eval_frames).collect();
         assert_eq!(par, ser);
         assert!(par.iter().all(|r| r.ok));
         // More frames take longer — ordering sanity.
@@ -495,12 +352,13 @@ mod tests {
 
     #[test]
     fn panicking_point_yields_failed_record_others_complete() {
+        let fx = Fork::new();
         let points: Vec<usize> = vec![1, 2, 3, 4];
         let recs = sweep(&points, |&p| {
             if p == 3 {
                 panic!("injected failure at point {p}");
             }
-            eval_frames(&1)
+            tag(p, &fx.straight)
         });
         assert_eq!(recs.len(), 4, "every point gets a record");
         let failed: Vec<usize> = recs
@@ -511,178 +369,119 @@ mod tests {
             .collect();
         assert_eq!(failed, vec![2], "exactly the panicking point fails");
         let err = recs[2].error.as_deref().unwrap_or("");
-        assert!(err.contains("injected failure"), "{err}");
-        assert!(recs[0].ok && recs[1].ok && recs[3].ok);
+        assert!(err.contains("injected failure at point 3"), "{err}");
+        for i in [0, 1, 3] {
+            assert_eq!(recs[i], tag(points[i], &fx.straight), "point {i} in place");
+        }
     }
 
     #[test]
     fn sweep_catch_preserves_order_with_errors() {
-        let out = sweep_catch(&[1u64, 2, 3], |&x| {
-            if x == 2 {
+        let fx = Fork::new();
+        let ok = &fx.straight;
+        let out = sweep(&[1usize, 2, 3], |&p| {
+            if p == 2 {
                 panic!("boom");
             }
-            x * 10
+            tag(p, ok)
         });
-        assert_eq!(out[0], Ok(10));
-        assert_eq!(out[1], Err("boom".to_string()));
-        assert_eq!(out[2], Ok(30));
+        assert_eq!(out[0], tag(1, ok));
+        assert!(!out[1].ok);
+        assert_eq!(
+            out[1].param("point"),
+            Some("1"),
+            "failed record names its point"
+        );
+        let err = out[1].error.as_deref().unwrap_or("");
+        assert!(err.contains("boom"), "{err}");
+        assert_eq!(out[2], tag(3, ok));
     }
 
     #[test]
     fn sweep_empty_points() {
         let out = sweep_with::<u64, u64, _>(&[], |x| *x);
         assert!(out.is_empty());
+        assert!(sweep(&[] as &[usize], eval_frames).is_empty());
+        let fx = Fork::new();
+        assert!(fx.sweep(&[], |_| {}).is_empty());
     }
 
     #[test]
-    fn thread_split_stays_within_hardware_budget() {
-        let par = super::hw_threads();
-        for (points, shards) in [(1usize, 8usize), (2, 4), (16, 4), (100, 1), (0, 0)] {
-            let (w, s) = thread_split(points, shards);
-            assert!(w >= 1 && s >= 1, "({points},{shards}) -> ({w},{s})");
-            assert!(w <= points.max(1));
-            assert!(s <= shards.max(1));
-            assert!(w * s <= par.max(1) * 2, "budget blown: {w}x{s} on {par}");
+    fn warm_fork_survives_a_panicking_point() {
+        let fx = Fork::new();
+        let points = [0usize, 1, 2, 3];
+        let out = fx.sweep(&points, |p| {
+            if p == 1 {
+                panic!("poisoned point");
+            }
+        });
+        assert_eq!(out.len(), 4, "one record per point");
+        for (i, r) in out.iter().enumerate() {
+            if i == 1 {
+                assert!(!r.ok, "the panicking point reports a failure");
+                let err = r.error.as_deref().unwrap_or("");
+                assert!(err.contains("poisoned point"), "panic message kept: {err}");
+            } else {
+                assert_eq!(
+                    r,
+                    &tag(i, &fx.straight),
+                    "point {i} unharmed by the poisoned base"
+                );
+            }
         }
-        // Plenty of points: points win the whole budget, shards get 1 each.
-        let (w, s) = thread_split(1000, 8);
-        assert_eq!(w, par.min(1000));
-        assert_eq!(s, (par / w).clamp(1, 8));
-        // One point: the whole budget goes to its shards.
-        let (w, s) = thread_split(1, 8);
-        assert_eq!(w, 1);
-        assert_eq!(s, par.clamp(1, 8));
-    }
-
-    #[test]
-    fn sweep_sharded_matches_serial_oracle_per_point() {
-        // Sweep tile counts; each point runs with whatever shard budget
-        // thread_split grants, and every result must equal the 1-shard run.
-        let points = vec![2usize, 3, 4];
-        let eval = |tiles: &usize, shards: usize| {
-            let spec = ShardedSocSpec {
-                tiles: *tiles,
-                horizon: SimDuration::us(20),
-                ..ShardedSocSpec::default()
-            };
-            let run = match spec.run_with_shards(shards) {
-                Ok(r) => r,
-                Err(e) => panic!("sharded run failed: {e:?}"),
-            };
-            RunRecord::from_metrics(
-                "sharded",
-                vec![("tiles".into(), tiles.to_string())],
-                &run.metrics,
-            )
-        };
-        let sharded = sweep_sharded(&points, 4, |p, s| eval(p, s));
-        let serial = sweep_serial(&points, |p| eval(p, 1));
-        assert_eq!(sharded, serial);
-        assert!(sharded.iter().all(|r| r.ok));
-    }
-
-    #[test]
-    fn sweep_partitioned_runs_plain_graphs_through_the_cut() {
-        use drcf_bus::prelude::*;
-        use drcf_kernel::prelude::{ShardConfig, SimTime};
-        use std::sync::Arc;
-
-        // A plain two-segment SocSpec-style graph per point: a CPU whose
-        // program hammers a remote memory through a bridge, sweeping the
-        // burst size. The partitioner must cut it into 2 LPs and every
-        // record must match the single-shard oracle sweep bit for bit.
-        let build_graph = |bursts: usize| {
-            let mut g = SocGraph::new();
-            let cpu_seg = g.add_segment("cpu", Some(BusConfig::default()));
-            g.add_part(
-                cpu_seg,
-                Part::new("cpu", move |sim, ctx| {
-                    let bus = ctx.bus()?;
-                    let mut program = Vec::new();
-                    for i in 0..bursts {
-                        program.push(Instr::Write {
-                            addr: 0x1_0000 + 8 * i as Addr,
-                            data: vec![i as Word; 4],
-                        });
-                        program.push(Instr::Read {
-                            addr: 0x1_0000 + 8 * i as Addr,
-                            burst: 4,
-                        });
-                    }
-                    Ok(sim.add("cpu", Cpu::new(CpuConfig::default(), bus, program)))
-                }),
-            );
-            let mem_seg = g.add_segment("mem", Some(BusConfig::default()));
-            g.add_part(
-                mem_seg,
-                Part::new("remote_mem", |sim, _| {
-                    Ok(sim.add(
-                        "remote_mem",
-                        Memory::new(MemoryConfig {
-                            base: 0x1_0000,
-                            size_words: 0x1000,
-                            ..MemoryConfig::default()
-                        }),
-                    ))
-                })
-                .with_claim(0x1_0000, 0x1_0FFF),
-            );
-            g.add_bridge(
-                "br",
-                BridgeConfig::default(),
-                cpu_seg,
-                mem_seg,
-                (0x1_0000, 0x1_FFFF),
-            );
-            Arc::new(g)
-        };
-        let points = vec![4usize, 8, 16];
-        let plan = |bursts: &usize| {
-            (
-                vec![("bursts".into(), bursts.to_string())],
-                build_graph(*bursts),
-                ShardConfig::to(SimTime::ZERO + SimDuration::us(200)).hash_slices(true),
-            )
-        };
-        let sharded = sweep_partitioned(&points, 2, plan);
-        let serial = sweep_partitioned(&points, 1, plan);
-        assert_eq!(sharded, serial);
-        assert!(sharded.iter().all(|r| r.ok), "{sharded:?}");
-        // More bursts cross the bridge -> more bus words observed.
-        assert!(sharded[0].bus_words < sharded[2].bus_words);
     }
 
     #[test]
     fn worker_death_loses_no_completed_points() {
-        // A panic payload whose Drop panics detonates *after* catch_unwind,
-        // while the message is rendered — the worker thread itself dies.
-        // Every point it had already completed must still be reported.
-        struct Bomb;
-        impl Drop for Bomb {
-            fn drop(&mut self) {
-                if !std::thread::panicking() {
-                    panic!("panic payload detonated on drop");
-                }
-            }
-        }
-        if std::thread::available_parallelism().map_or(1, |p| p.get()) < 2 {
-            // The single-threaded fallback runs on the caller's thread and
-            // cannot model a dying worker.
+        // Every point the dying worker had already completed must still be
+        // reported. The test needs a second worker to outlive it.
+        if !multi_threaded() {
             return;
         }
+        let fx = Fork::new();
         let points: Vec<usize> = (0..64).collect();
-        let out = sweep_catch(&points, |&p| {
+        let out = sweep(&points, |&p| {
             if p == 40 {
                 std::panic::panic_any(Bomb);
             }
-            p * 2
+            tag(p, &fx.straight)
         });
         assert_eq!(out.len(), points.len(), "one result per point");
         for (i, r) in out.iter().enumerate() {
             if i == 40 {
-                assert!(r.is_err(), "the killing point reports an error");
+                assert!(!r.ok, "the killing point reports an error");
             } else {
-                assert_eq!(*r, Ok(i * 2), "point {i} must survive the dead worker");
+                assert_eq!(
+                    r,
+                    &tag(i, &fx.straight),
+                    "point {i} must survive the dead worker"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_fork_worker_death_loses_no_completed_points() {
+        if !multi_threaded() {
+            return;
+        }
+        let fx = Fork::new();
+        let points: Vec<usize> = (0..12).collect();
+        let out = fx.sweep(&points, |p| {
+            if p == 7 {
+                std::panic::panic_any(Bomb);
+            }
+        });
+        assert_eq!(out.len(), points.len(), "one record per point");
+        for (i, r) in out.iter().enumerate() {
+            if i == 7 {
+                assert!(!r.ok, "the killing point reports a failure");
+            } else {
+                assert_eq!(
+                    r,
+                    &tag(i, &fx.straight),
+                    "point {i} must survive the dead worker"
+                );
             }
         }
     }
@@ -715,48 +514,15 @@ mod tests {
         let warm = sweep_warm_fork(
             &[0usize, 1, 2, 3, 4],
             &snap,
-            WarmFork { delta_chain: 2 },
+            2,
             || restore_soc(&w, &spec, &snap),
             |_, soc| {
                 let m = run_soc_mut(soc);
                 RunRecord::from_metrics("cold", vec![], &m)
             },
+            &[],
+            |_, _| {},
         );
         assert_eq!(warm, cold, "warm forks must be bit-identical to cold runs");
-    }
-
-    #[test]
-    fn warm_fork_survives_a_panicking_point() {
-        let w = wireless_receiver(2, 32);
-        let spec = SocSpec::default();
-        let (m, soc) = run_soc(build_soc(&w, &spec).expect("build"));
-        assert!(m.ok);
-        let reference = RunRecord::from_metrics("p", vec![], &m);
-        let at = SimDuration::fs(m.makespan.as_fs() / 2);
-        let snap = snapshot_prefix(&w, &spec, at).expect("prefix");
-        drop(soc);
-        let out = sweep_warm_fork(
-            &[0usize, 1, 2, 3],
-            &snap,
-            WarmFork::default(),
-            || restore_soc(&w, &spec, &snap),
-            |&p, soc| {
-                if p == 1 {
-                    panic!("poisoned point");
-                }
-                let m = run_soc_mut(soc);
-                RunRecord::from_metrics("p", vec![], &m)
-            },
-        );
-        assert_eq!(out.len(), 4, "one record per point");
-        for (i, r) in out.iter().enumerate() {
-            if i == 1 {
-                assert!(!r.ok, "the panicking point reports a failure");
-                let err = r.error.as_deref().unwrap_or("");
-                assert!(err.contains("poisoned point"), "panic message kept: {err}");
-            } else {
-                assert_eq!(r, &reference, "point {i} unharmed by the poisoned base");
-            }
-        }
     }
 }

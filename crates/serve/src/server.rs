@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use drcf_dse::prelude::{sweep_warm_fork_resume, RunRecord, WarmFork};
+use drcf_dse::prelude::{sweep_warm_fork, RunRecord};
 use drcf_kernel::prelude::{
     ChainDoc, SimDuration, SimError, SimErrorKind, SimResult, SimTime, Snapshot,
 };
@@ -149,10 +149,10 @@ fn run_missing(
     done: &[Option<RunRecord>],
 ) -> Vec<RunRecord> {
     let fork_ns = req.fork_ns;
-    sweep_warm_fork_resume(
+    sweep_warm_fork(
         &req.points,
         fork,
-        WarmFork { delta_chain: 2 },
+        2, // delta_chain: rebuild each worker's base after two forks
         || restore_soc(w, spec, fork),
         |&clock: &u64, soc: &mut BuiltSoc| {
             let cpu = soc.cpu;
@@ -168,7 +168,7 @@ fn run_missing(
             )
         },
         done,
-        &|i, rec| {
+        |i, rec| {
             // Best-effort durability: a failed append only costs resumability.
             let _ = store.append_record(key, fork_ns, req.points[i], rec);
         },

@@ -187,6 +187,71 @@ fn run_graph(g: &Arc<SocGraph>, shards: usize) -> SimResult<PartitionedRun> {
     run_partitioned(g, &cfg)
 }
 
+/// A plain graph per burst count: a CPU whose program writes and reads
+/// back a remote memory through a bridge. The partitioner cuts it into two
+/// LPs, the 2-shard run matches the single-shard oracle, and more bursts
+/// across the bridge show up as more bus words.
+#[test]
+fn plain_bridge_graphs_match_the_single_shard_run() {
+    let build_graph = |bursts: usize| {
+        let mut g = SocGraph::new();
+        let cpu_seg = g.add_segment("cpu", Some(BusConfig::default()));
+        g.add_part(
+            cpu_seg,
+            Part::new("cpu", move |sim, ctx| {
+                let bus = ctx.bus()?;
+                let mut program = Vec::new();
+                for i in 0..bursts {
+                    program.push(Instr::Write {
+                        addr: 0x1_0000 + 8 * i as Addr,
+                        data: vec![i as Word; 4],
+                    });
+                    program.push(Instr::Read {
+                        addr: 0x1_0000 + 8 * i as Addr,
+                        burst: 4,
+                    });
+                }
+                Ok(sim.add("cpu", Cpu::new(CpuConfig::default(), bus, program)))
+            }),
+        );
+        let mem_seg = g.add_segment("mem", Some(BusConfig::default()));
+        g.add_part(
+            mem_seg,
+            Part::new("remote_mem", |sim, _| {
+                Ok(sim.add(
+                    "remote_mem",
+                    Memory::new(MemoryConfig {
+                        base: 0x1_0000,
+                        size_words: 0x1000,
+                        ..MemoryConfig::default()
+                    }),
+                ))
+            })
+            .with_claim(0x1_0000, 0x1_0FFF),
+        );
+        g.add_bridge(
+            "br",
+            BridgeConfig::default(),
+            cpu_seg,
+            mem_seg,
+            (0x1_0000, 0x1_FFFF),
+        );
+        Arc::new(g)
+    };
+    let mut bus_words = Vec::new();
+    for bursts in [4usize, 8, 16] {
+        let g = build_graph(bursts);
+        assert_eq!(plan_partition(&g).expect("plan").lp_count(), 2);
+        let cfg = ShardConfig::to(SimTime::ZERO + SimDuration::us(200)).hash_slices(true);
+        let oracle = run_partitioned(&g, &cfg.clone().shards(1)).expect("1-shard run");
+        let sharded = run_partitioned(&g, &cfg.shards(2)).expect("2-shard run");
+        assert!(oracle.metrics.ok, "{:?}", oracle.metrics.error);
+        assert_eq!(sharded.metrics, oracle.metrics, "{bursts} bursts");
+        bus_words.push(oracle.metrics.bus_words);
+    }
+    assert!(bus_words[0] < bus_words[2], "{bus_words:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

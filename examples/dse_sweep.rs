@@ -1,9 +1,9 @@
 //! Design-space exploration: which accelerators should fold into the DRCF?
 //!
 //! Enumerates every folding subset for the video pipeline, simulates all
-//! of them in parallel (rayon over deterministic single-threaded runs),
-//! extracts the makespan/area Pareto front, and dumps the full record set
-//! as JSON for external plotting.
+//! of them in parallel (a scoped-thread pool over deterministic
+//! single-threaded runs), extracts the makespan/area Pareto front, and
+//! dumps the full record set as JSON for external plotting.
 //!
 //! Run with: `cargo run --release --example dse_sweep`
 

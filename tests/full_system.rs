@@ -76,7 +76,7 @@ fn full_stack_determinism() {
     assert_eq!(run(), run());
 }
 
-/// The rayon-parallel sweep gives the identical records as the serial one
+/// The parallel sweep gives the identical records as the serial one
 /// for a real multi-configuration exploration.
 #[test]
 fn parallel_sweep_equals_serial() {
@@ -109,7 +109,7 @@ fn parallel_sweep_equals_serial() {
         )
     };
     let par = sweep(&points, eval);
-    let ser = sweep_serial(&points, eval);
+    let ser: Vec<RunRecord> = points.iter().map(eval).collect();
     assert_eq!(par, ser);
     assert_eq!(par.len(), 4);
 }
