@@ -321,7 +321,7 @@ impl From<bool> for Json {
 /// Largest integer `f64` can represent exactly (2^53).
 const F64_EXACT: u64 = 1 << 53;
 
-///// Encode a `u64` losslessly: as a number when `f64` can hold it exactly,
+/// Encode a `u64` losslessly: as a number when `f64` can hold it exactly,
 /// as a decimal string otherwise (transaction tags use bit 63).
 pub fn ju64(v: u64) -> Json {
     if v <= F64_EXACT {

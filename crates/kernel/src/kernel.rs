@@ -246,9 +246,7 @@ impl KernelState {
     }
 
     /// Earliest pending time across the queue and the armed clock slots.
-    /// `&mut` because peeking the timing wheel may rotate it forward to the
-    /// next occupied bucket.
-    fn next_pending_time(&mut self) -> Option<SimTime> {
+    fn next_pending_time(&self) -> Option<SimTime> {
         let mut t = self.queue.peek_time();
         for c in &self.clocks {
             if c.armed && t.is_none_or(|x| c.next_time < x) {
@@ -1181,7 +1179,7 @@ impl Simulator {
                 now: SimTime::ZERO,
                 seq: 0,
                 canceled: std::collections::HashSet::new(),
-                queue: EventQueue::new(),
+                queue: EventQueue::default(),
                 next_delta: Vec::new(),
                 update_requests: Vec::new(),
                 update_scratch: Vec::new(),
@@ -1362,15 +1360,6 @@ impl Simulator {
     /// against the reference path; benchmarks use it to measure the win.
     pub fn set_legacy_clock_path(&mut self, on: bool) {
         self.st.legacy_clock_path = on;
-    }
-
-    /// Route timed events through the reference binary heap instead of the
-    /// hierarchical timing wheel. Both structures dispatch in the same
-    /// global `(time, seq)` order; pending entries migrate on toggle.
-    /// Determinism regression tests use this to diff the wheel against the
-    /// reference path.
-    pub fn set_legacy_timed_queue(&mut self, on: bool) {
-        self.st.queue.set_legacy(on);
     }
 
     /// Treat quiescence-with-obligations under a `run_until` horizon as
@@ -1582,8 +1571,7 @@ impl Simulator {
     ///
     /// Legal only *between* run slices — after a `run_until` returned and
     /// before the next `run*` call — when no delta work or signal update is
-    /// in flight. `&mut` because inspecting the timed queue may rotate the
-    /// timing wheel (which never changes the dispatch order).
+    /// in flight.
     ///
     /// The report log is deliberately not captured; everything else that
     /// influences future dispatch is.
@@ -1944,8 +1932,8 @@ impl Simulator {
     /// Existing entries are dropped first (a no-op on a fresh simulator).
     ///
     /// Entries are re-inserted with their *original* sequence numbers,
-    /// front-to-back, so the wheel (or the legacy heap) rebuilds the
-    /// identical `(time, seq)` dispatch order.
+    /// front-to-back, so the queue rebuilds the identical `(time, seq)`
+    /// dispatch order.
     fn restore_queue_from(&mut self, j: &Json) -> SimResult<()> {
         self.st.queue.clear();
         for ej in snap::arr_field(j, "queue")? {

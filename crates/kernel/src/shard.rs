@@ -34,13 +34,12 @@
 //! The merge order, the horizon schedule, and the per-LP kernels are all
 //! pure functions of the topology — none depends on how LPs are grouped
 //! onto worker threads. Running with 1 shard (the single-threaded oracle,
-//! executed inline on the calling thread like `set_legacy_timed_queue`'s
-//! reference heap) or with N worker threads therefore produces bit-identical
-//! results: same per-LP `(time, seq)` dispatch orders, same
-//! [`KernelMetrics`], same [`Simulator::state_hash`] at every window. The
-//! per-slice hashes are recorded in the [`ShardRunReport`] so a
-//! parallel-vs-serial divergence (a plumbing bug) pinpoints the first bad
-//! slice instead of requiring a full-state diff.
+//! executed inline on the calling thread) or with N worker threads
+//! therefore produces bit-identical results: same per-LP `(time, seq)`
+//! dispatch orders, same [`KernelMetrics`], same [`Simulator::state_hash`]
+//! at every window. The per-slice hashes are recorded in the
+//! [`ShardRunReport`] so a parallel-vs-serial divergence (a plumbing bug)
+//! pinpoints the first bad slice instead of requiring a full-state diff.
 //!
 //! Components are not `Send` (they may hold `Rc`s into model state), so LP
 //! simulators are *built on the worker thread that owns them* from `Send`

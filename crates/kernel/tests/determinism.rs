@@ -4,16 +4,13 @@
 //! signals and a shared FIFO, a timer-driven stimulus) and runs it three
 //! ways:
 //!
-//! 1. the optimized dispatch path (per-clock next-edge slots + the
-//!    hierarchical timing wheel),
+//! 1. the optimized dispatch path (per-clock next-edge slots),
 //! 2. the optimized path again (replay determinism),
 //! 3. the legacy clock path (`set_legacy_clock_path(true)`), which routes
 //!    every clock edge through the general timed-event queue — the schedule
-//!    the kernel used before the periodic fast path existed,
-//! 4. the reference timed queue (`set_legacy_timed_queue(true)`), which
-//!    replaces the timing wheel with the original binary heap.
+//!    the kernel used before the periodic fast path existed.
 //!
-//! All four must produce byte-identical VCD traces, identical event logs,
+//! All three must produce byte-identical VCD traces, identical event logs,
 //! identical per-signal change counts, and identical kernel metrics (for
 //! the counters that do not describe the internal data path itself).
 
@@ -43,11 +40,9 @@ fn run_world(
     plan: &[(u64, u64, u8)],    // stimulus timers: (delay_fs, tag, rechedule hops)
     horizon_ns: u64,
     legacy_clock: bool,
-    heap_queue: bool,
 ) -> Observation {
     let mut sim = Simulator::new();
     sim.set_legacy_clock_path(legacy_clock);
-    sim.set_legacy_timed_queue(heap_queue);
     sim.enable_trace();
     let log: Log = Rc::new(RefCell::new(Vec::new()));
 
@@ -167,9 +162,8 @@ fn run_world(
 }
 
 proptest! {
-    /// Random graphs replay identically on the fast path, the fast path
-    /// reproduces the legacy clock schedule bit for bit, and the timing
-    /// wheel reproduces the reference binary-heap schedule bit for bit.
+    /// Random graphs replay identically on the fast path, and the fast path
+    /// reproduces the legacy clock schedule bit for bit.
     #[test]
     fn dispatch_paths_agree(
         raw_clocks in proptest::collection::vec((2u64..16, 0u64..100, 0u64..6), 1..4),
@@ -187,25 +181,18 @@ proptest! {
             .iter()
             .map(|&(d_ns, tag)| (d_ns * 1_000_000, tag, 0))
             .collect();
-        let fast1 = run_world(&clocks, &workers, &plan, horizon_ns, false, false);
-        let fast2 = run_world(&clocks, &workers, &plan, horizon_ns, false, false);
-        let legacy_clk = run_world(&clocks, &workers, &plan, horizon_ns, true, false);
-        let heap = run_world(&clocks, &workers, &plan, horizon_ns, false, true);
-        // Legacy clock path + heap queue: every event through the heap.
-        let all_legacy = run_world(&clocks, &workers, &plan, horizon_ns, true, true);
+        let fast1 = run_world(&clocks, &workers, &plan, horizon_ns, false);
+        let fast2 = run_world(&clocks, &workers, &plan, horizon_ns, false);
+        let legacy_clk = run_world(&clocks, &workers, &plan, horizon_ns, true);
         prop_assert_eq!(&fast1, &fast2);
         prop_assert_eq!(&fast1, &legacy_clk);
-        prop_assert_eq!(&fast1, &heap);
-        prop_assert_eq!(&fast1, &all_legacy);
     }
 
-    /// Satellite regression (ISSUE 5): timer delays drawn from the timing
-    /// wheel's boundary set — {0, TICK−1, TICK, horizon−1, horizon,
-    /// horizon+1} femtoseconds (TICK = 2^20 fs bucket width, horizon =
-    /// 2^30 fs wheel span) — with rescheduling hops so the boundaries are
-    /// hit from arbitrary mid-run `now` values, i.e. exactly at active
-    /// bucket rotation points and at `base + NBUCKETS ± 1`. The wheel must
-    /// reproduce the reference binary heap bit for bit.
+    /// Timer delays from zero to just past a microsecond — {0, 2^20−1,
+    /// 2^20, 2^30−1, 2^30, 2^30+1} fs, both sides of two powers of two —
+    /// with rescheduling hops so they are hit from arbitrary mid-run `now`
+    /// values, interleaved with clock edges. The fast clock path must
+    /// reproduce the legacy clock schedule bit for bit.
     #[test]
     fn wheel_boundary_delays_agree(
         raw_clocks in proptest::collection::vec((2u64..16, 0u64..100, 0u64..6), 1..3),
@@ -213,16 +200,8 @@ proptest! {
         picks in proptest::collection::vec((0usize..6, 0u64..32, 0u8..3), 1..12),
         horizon_ns in 1100u64..2400,
     ) {
-        const TICK_FS: u64 = 1 << 20;
-        const WHEEL_HORIZON_FS: u64 = 1 << 30;
-        const BOUNDARY_FS: [u64; 6] = [
-            0,
-            TICK_FS - 1,
-            TICK_FS,
-            WHEEL_HORIZON_FS - 1,
-            WHEEL_HORIZON_FS,
-            WHEEL_HORIZON_FS + 1,
-        ];
+        const BOUNDARY_FS: [u64; 6] =
+            [0, (1 << 20) - 1, 1 << 20, (1 << 30) - 1, 1 << 30, (1 << 30) + 1];
         let clocks: Vec<(u64, u64, u64)> = raw_clocks
             .iter()
             .map(|&(p, h, o)| (p, 1 + h % (p - 1), o))
@@ -231,11 +210,9 @@ proptest! {
             .iter()
             .map(|&(b, tag, hops)| (BOUNDARY_FS[b], tag, hops))
             .collect();
-        let fast = run_world(&clocks, &workers, &plan, horizon_ns, false, false);
-        let heap = run_world(&clocks, &workers, &plan, horizon_ns, false, true);
-        let all_legacy = run_world(&clocks, &workers, &plan, horizon_ns, true, true);
-        prop_assert_eq!(&fast, &heap);
-        prop_assert_eq!(&fast, &all_legacy);
+        let fast = run_world(&clocks, &workers, &plan, horizon_ns, false);
+        let legacy_clk = run_world(&clocks, &workers, &plan, horizon_ns, true);
+        prop_assert_eq!(&fast, &legacy_clk);
     }
 }
 
