@@ -182,6 +182,27 @@ impl Memory {
         }
     }
 
+    /// Zero `words` words from `addr` on and bump each touched page's
+    /// epoch by the words written in it: the state that many single-word
+    /// writes leave, in one fill. Coalesced train writes carry
+    /// implied-zero payloads, and the bus never coalesces over poisoned
+    /// or unmapped words.
+    fn fill_zero(&mut self, addr: Addr, words: usize) {
+        debug_assert!(
+            (addr..addr + words as u64).all(|a| !self.cfg.poisoned(a)),
+            "bulk write over poisoned words"
+        );
+        let start = (addr - self.cfg.base) as usize;
+        let end = start + words;
+        self.data[start..end].fill(0);
+        let mut i = start;
+        while i < end {
+            let page_end = ((i / PAGE_WORDS + 1) * PAGE_WORDS).min(end);
+            self.page_epochs[i / PAGE_WORDS] += (page_end - i) as u64;
+            i = page_end;
+        }
+    }
+
     fn schedule_on_port(
         now: SimTime,
         busy_until: &mut SimTime,
@@ -428,13 +449,7 @@ impl Component for Memory {
                         BusOp::Write => {
                             self.stats.writes += 1;
                             self.stats.words_written += b.words as u64;
-                            // Train writes carry implied-zero payloads; the
-                            // bus never coalesces over poisoned/unmapped
-                            // words, so these cannot fail.
-                            for i in 0..b.words as u64 {
-                                let applied = self.write(b.addr + i, 0);
-                                debug_assert!(applied.is_ok(), "bulk write rejected");
-                            }
+                            self.fill_zero(b.addr, b.words);
                         }
                     }
                 }
@@ -531,6 +546,29 @@ mod tests {
         assert!(m.read(0x0FFF).is_err(), "below base");
         assert!(m.read(0x1010).is_err(), "above top");
         assert!(m.write(0x1010, 0).is_err());
+    }
+
+    #[test]
+    fn fill_zero_matches_word_by_word_writes() {
+        let cfg = MemoryConfig {
+            base: 0x40,
+            size_words: 5 * PAGE_WORDS,
+            ..MemoryConfig::default()
+        };
+        // Bursts inside one page, ending on a page boundary, and spanning
+        // two and three pages.
+        for (addr, words) in [(0x45, 7), (0x40 + 56, 8), (0x40 + 60, 9), (0x40 + 10, 150)] {
+            let (mut got, mut want) = (Memory::new(cfg.clone()), Memory::new(cfg.clone()));
+            for m in [&mut got, &mut want] {
+                m.load(0x40, &vec![9; 5 * PAGE_WORDS]);
+            }
+            got.fill_zero(addr, words);
+            for i in 0..words as u64 {
+                ok(want.write(addr + i, 0));
+            }
+            assert_eq!(got.data, want.data, "burst {addr:#x}+{words}");
+            assert_eq!(got.page_epochs, want.page_epochs, "burst {addr:#x}+{words}");
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@ on one workload and seed. This is the pair method a performance claim rests
 on:
 
 - for every end-to-end metric of `BENCHMARK.json`, each side's median and
-  quartiles over its runs, and how many pairs the change won (ties count
-  for neither side);
+  quartiles over its runs, the ratio of the change's median to the
+  parent's (`change/parent`; above 1 is more of the metric, whichever
+  direction is better), and how many pairs the change won (ties count for
+  neither side);
 - `gain` when the change won at least nine tenths of the pairs and the
   medians differ by more than the parent's interquartile range;
 - `REGRESSION` when the change's median is worse than the parent's by
@@ -101,7 +103,8 @@ def main():
     print(f"workload {args.workload} seed {args.seed} pairs {args.pairs} "
           f"seconds {args.seconds:g}")
     print(f"{'metric':<14} {'parent median [q1, q3]':<34} "
-          f"{'change median [q1, q3]':<34} {'won':>6}  verdict")
+          f"{'change median [q1, q3]':<34} {'change/parent':>13} "
+          f"{'won':>6}  verdict")
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         p = [r[name] for r in runs["parent"]]
@@ -119,8 +122,9 @@ def main():
         elif pm and (pq3 - pq1) / pm > m["bound"]:
             verdict = (f"unresolved (parent spread {(pq3 - pq1) / pm:.2f} "
                        f"> bound {m['bound']:g})")
+        ratio = f"{cm / pm:.3f}" if pm else "-"
         print(f"{name:<14} {f'{pm:.5g} [{pq1:.5g}, {pq3:.5g}]':<34} "
-              f"{f'{cm:.5g} [{cq1:.5g}, {cq3:.5g}]':<34} "
+              f"{f'{cm:.5g} [{cq1:.5g}, {cq3:.5g}]':<34} {ratio:>13} "
               f"{f'{wins}/{args.pairs}':>6}  {verdict}")
 
     if identities["parent"] != identities["change"]:

@@ -16,6 +16,10 @@ inflate the trajectory), and exits non-zero if:
 
 - any `speedup_vs_baseline` entry has dropped below 1.0 — i.e. the
   current tree is slower than the baked per-scenario baseline;
+- `ctx_switch_storm_on_vs_off` (the context-switch storm's wall time with
+  configuration-train coalescing off over its wall time with it on) falls
+  below 8.0x: a coalesced train must stay cheap to complete, not only to
+  schedule;
 - the live `warm_fork_speedup` (cold DSE sweep vs. copy-on-write
   warm-forked sweep, fork at 9/10 of the makespan) falls below 3.0x;
 - `warm_fork_speedup` does not exceed `warm_fork_speedup_half` (the same
@@ -51,6 +55,7 @@ import sys
 import time
 
 HISTORY = "BENCH_history.jsonl"
+STORM_ON_VS_OFF_FLOOR = 8.0
 WARM_FORK_SPEEDUP_FLOOR = 3.0
 SHARDED_SPEEDUP_FLOOR = 2.0
 SHARDED_E12_SPEEDUP_FLOOR = 1.5
@@ -203,7 +208,14 @@ def main() -> int:
 
     ratio = bench.get("ctx_switch_storm_on_vs_off")
     if ratio is not None:
-        print(f"perf gate: storm coalescing on-vs-off {ratio:.2f}x")
+        floor = STORM_ON_VS_OFF_FLOOR
+        verdict = "ok" if ratio >= floor else "REGRESSION"
+        print(
+            f"perf gate: storm coalescing on-vs-off {ratio:.2f}x "
+            f"(floor {floor}x)  [{verdict}]"
+        )
+        if ratio < floor:
+            failed.append("ctx_switch_storm_on_vs_off")
 
     warm = bench.get("warm_fork_speedup")
     if warm is not None:

@@ -1,0 +1,94 @@
+//! Golden snapshot documents across commits.
+//!
+//! The snapshot store and warm forks key on `state_hash` and reuse stored
+//! documents from earlier runs, so a change that silently alters what a
+//! snapshot contains — a reordered field, a statistic accounted
+//! differently, a train completed through another path — breaks them even
+//! when every in-run round trip still agrees with itself. This test pins
+//! the hash and byte length of one fixed SoC's snapshots at three instants
+//! to constants: mid-way through a coalesced configuration train, just
+//! after a completed train, and at the end of the run. A deliberate format
+//! change must update the constants and say why.
+
+use drcf::prelude::*;
+
+/// A wireless receiver on a DRCF that loads its contexts over the system
+/// bus with configuration-train coalescing on (the default).
+fn golden_soc() -> (Workload, SocSpec) {
+    let w = wireless_receiver(2, 32);
+    let names: Vec<String> = w.accels.iter().map(|a| a.name.clone()).collect();
+    let spec = SocSpec {
+        mapping: Mapping::Drcf {
+            geometry: size_fabric(&w, &names, 1.2, 1),
+            candidates: names,
+            technology: morphosys(),
+            config_path: SocConfigPath::SystemBus,
+            scheduler: SchedulerConfig::default(),
+            overlap_load_exec: false,
+        },
+        ..SocSpec::default()
+    };
+    assert!(spec.coalesce_config_traffic, "coalescing is on by default");
+    (w, spec)
+}
+
+/// Inside the first reconfiguration window, with the train on the bus.
+const MID_TRAIN_NS: u64 = 9_400;
+/// Just after the first reconfiguration window closed.
+const AFTER_TRAIN_NS: u64 = 11_800;
+
+/// `(state_hash, byte_len)` at `MID_TRAIN_NS`, `AFTER_TRAIN_NS` and the
+/// end of the run, recorded before the coalesced train's completion
+/// accounting was batched.
+const GOLDEN: [(u64, u64); 3] = [
+    (18288879592867230796, 4534),
+    (10983539635962492241, 3334),
+    (2458794955190095328, 6946),
+];
+
+fn capture(w: &Workload, spec: &SocSpec, at_ns: u64) -> Snapshot {
+    snapshot_prefix(w, spec, SimDuration::ns(at_ns)).expect("capture")
+}
+
+#[test]
+fn snapshot_documents_match_the_golden_hashes() {
+    let (w, spec) = golden_soc();
+    let (m, mut soc) = run_soc(build_soc(&w, &spec).expect("build"));
+    assert!(m.ok, "{m:?}");
+    // The capture instants sit where their names say: inside and just
+    // after the first reconfiguration window.
+    let drcf = soc.drcf.expect("fabric mapping");
+    let events = &soc.sim.get::<Drcf>(drcf).stats.events;
+    let at = |kind: FabricEventKind| {
+        events
+            .iter()
+            .find(|e| e.kind == kind)
+            .map(|e| e.at)
+            .expect("a switch ran")
+    };
+    let (start, done) = (
+        at(FabricEventKind::SwitchStart),
+        at(FabricEventKind::SwitchDone),
+    );
+    let ns = |t: u64| SimTime::ZERO + SimDuration::ns(t);
+    assert!(start < ns(MID_TRAIN_NS) && ns(MID_TRAIN_NS) < done);
+    assert!(done < ns(AFTER_TRAIN_NS));
+    let end = soc.sim.snapshot().expect("end-of-run capture");
+
+    let mid = capture(&w, &spec, MID_TRAIN_NS);
+    let after = capture(&w, &spec, AFTER_TRAIN_NS);
+    assert!(
+        mid.json().to_string().contains("\"sched\""),
+        "a coalesced train is in flight at the mid-train capture"
+    );
+    assert!(
+        after.json().to_string().contains("\"train\":null"),
+        "the train has completed by the after-train capture"
+    );
+    let got = [
+        (mid.state_hash(), mid.byte_len()),
+        (after.state_hash(), after.byte_len()),
+        (end.state_hash(), end.byte_len()),
+    ];
+    assert_eq!(got, GOLDEN, "snapshot documents changed");
+}
