@@ -22,7 +22,7 @@
 //! error, exit code 2), runs to completion, and cross-checks the resumed
 //! metrics against a straight run before printing them.
 //!
-//! `--shards N` runs the multi-fabric `sharded_soc` bench topology with N
+//! `--shards N` runs the multi-fabric `sharded_soc` bench ring with N
 //! worker shards against the single-threaded oracle, verifies the reports
 //! are bit-identical, and prints both wall times, the live speedup, and
 //! the critical-link and parallel-efficiency reports from the run profile.
@@ -278,19 +278,24 @@ fn run_sharded_traced(shards: usize, path: &str) {
 }
 
 fn run_sharded(shards: usize) {
+    use drcf_bench::hotpath::{sharded_config, sharded_soc_ring, SHARDED_SOC_HORIZON};
+    use drcf_soc::prelude::run_partitioned;
     use std::time::Instant;
-    let spec = drcf_bench::hotpath::sharded_soc_spec();
+    let ring = sharded_soc_ring();
+    let graph = std::sync::Arc::new(ring.graph());
     let t0 = Instant::now();
-    let oracle = spec.run_with_shards(1).expect("oracle run");
+    let oracle =
+        run_partitioned(&graph, &sharded_config(SHARDED_SOC_HORIZON, 1)).expect("oracle run");
     let serial = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let par = spec.run_with_shards(shards).expect("sharded run");
+    let par =
+        run_partitioned(&graph, &sharded_config(SHARDED_SOC_HORIZON, shards)).expect("sharded run");
     let wall = t1.elapsed().as_secs_f64();
     assert_identical(&oracle.report, &par.report, "sharded_soc run");
     println!(
         "sharded_soc: {} tiles, horizon {} ns, {} events",
-        spec.tiles,
-        spec.horizon.as_fs() / 1_000_000,
+        ring.tiles,
+        SHARDED_SOC_HORIZON.as_fs() / 1_000_000,
         par.events(),
     );
     println!(

@@ -162,13 +162,10 @@ where
 /// applies the point's parameters to the live system and runs the tail —
 /// e.g. via `drcf_soc::prelude::run_soc_mut`.
 ///
-/// `delta_chain` bounds how many forks one base serves before it is
-/// dropped and rebuilt from the full snapshot — the warm-fork analogue of
-/// `SnapshotChain`'s full-snapshot rebase; `0` means the base lives for
-/// the whole sweep. A rewind refusal (the capture fell out of the
-/// simulator's window) costs one cold rebuild, and a panicking `eval`
-/// retires the base, so a poisoned point costs one cold build, never the
-/// sweep.
+/// Rewind is bit-exact, so one base serves the whole sweep. It is rebuilt
+/// only when a rewind is refused (the capture fell out of the simulator's
+/// window), which costs one cold rebuild, and when a panicking `eval`
+/// retires it, so a poisoned point costs one cold build, never the sweep.
 ///
 /// Crash resume: `done` holds records recovered from an interrupted run of
 /// the same sweep, aligned with `points` (it may be shorter, or empty);
@@ -183,7 +180,6 @@ where
 pub fn sweep_warm_fork<P, S, B, F, O>(
     points: &[P],
     fork: &Snapshot,
-    delta_chain: usize,
     build: B,
     eval: F,
     done: &[Option<RunRecord>],
@@ -199,12 +195,8 @@ where
     let mut out: Vec<Option<RunRecord>> = (0..points.len())
         .map(|i| done.get(i).cloned().flatten())
         .collect();
-    // Worker state: the live base and how many forks it has served.
-    let point = |(base, forks): &mut (Option<S>, usize), i: usize| {
-        if delta_chain > 0 && *forks >= delta_chain {
-            *base = None;
-            *forks = 0;
-        }
+    // Worker state: the live base.
+    let point = |base: &mut Option<S>, i: usize| {
         // The base is out of its slot while the point runs: a panic leaves
         // the slot empty, so a base possibly left mid-mutation is never
         // forked from again.
@@ -227,7 +219,6 @@ where
         }
         let rec = eval(&points[i], &mut b);
         *base = Some(b);
-        *forks += 1;
         rec
     };
     pool(&mut out, point, |i, r| {
@@ -301,7 +292,6 @@ mod tests {
             sweep_warm_fork(
                 points,
                 &self.snap,
-                0,
                 || restore_soc(&self.w, &self.spec, &self.snap),
                 |&p, soc| {
                     before_tail(p);
@@ -510,11 +500,9 @@ mod tests {
         let makespan_fs = (cold[0].makespan_ns * 1_000_000.0) as u64;
         let at = drcf_kernel::prelude::SimDuration::fs(makespan_fs / 2);
         let snap = snapshot_prefix(&w, &spec, at).expect("prefix");
-        // delta_chain = 2 exercises the periodic full rebase mid-sweep.
         let warm = sweep_warm_fork(
             &[0usize, 1, 2, 3, 4],
             &snap,
-            2,
             || restore_soc(&w, &spec, &snap),
             |_, soc| {
                 let m = run_soc_mut(soc);

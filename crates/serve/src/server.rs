@@ -27,13 +27,15 @@ use std::time::Duration;
 
 use drcf_dse::prelude::{sweep_warm_fork, RunRecord};
 use drcf_kernel::prelude::{
-    ChainDoc, SimDuration, SimError, SimErrorKind, SimResult, SimTime, Snapshot,
+    ChainDoc, SimDuration, SimError, SimErrorKind, SimResult, SimTime, Snapshot, SnapshotChain,
 };
-use drcf_soc::prelude::{build_soc, restore_soc, run_soc_mut, BuiltSoc, Cpu, SocSpec, Workload};
+use drcf_soc::prelude::{
+    build_soc, restore_soc, restore_soc_chain, run_soc_mut, BuiltSoc, Cpu, SocSpec, Workload,
+};
 
 use crate::protocol::{Reply, Request, SweepReply};
 use crate::scenario::SweepRequest;
-use crate::store::{SnapshotStore, StoreMeta, REBASE_PERIOD};
+use crate::store::{ChainLink, SnapshotStore, StoreMeta, REBASE_PERIOD};
 
 /// How often a lease waiter re-checks the store for the holder's results.
 const LEASE_POLL: Duration = Duration::from_millis(25);
@@ -69,72 +71,65 @@ fn cold_prefix(
 
 /// Produce the full fork snapshot for `(w, spec)` at `fork_ns`, reusing the
 /// longest stored chain prefix at or before it and extending the stored
-/// chain when the fork lies beyond the tip. Returns the snapshot plus how
-/// many stored links were restored (0 = fully cold).
+/// chain when the fork lies beyond the tip.
 fn prefix_snapshot(
     store: &SnapshotStore,
     key: u64,
     w: &Workload,
     spec: &SocSpec,
     fork_ns: u64,
-) -> SimResult<(Snapshot, usize)> {
+) -> SimResult<Snapshot> {
     let mut meta = store.meta(key)?.unwrap_or_default();
-    // Enter at the last full link at-or-before the fork; apply the deltas
-    // that follow it. Links strictly increase in time, so this is the
-    // longest usable prefix with bounded restore depth (REBASE_PERIOD).
+    // Enter at the last full link at-or-before the fork; the deltas that
+    // follow it complete the chain. Links strictly increase in time, so
+    // this is the longest usable prefix, and the chain's rebase period
+    // bounds its restore depth.
     let usable = meta
         .links
         .iter()
         .take_while(|l| l.time_ns <= fork_ns)
         .count();
     let Some(entry) = meta.links[..usable].iter().rposition(|l| l.full) else {
-        let snap = cold_prefix(store, key, &mut meta, w, spec, fork_ns)?;
-        return Ok((snap, 0));
+        return cold_prefix(store, key, &mut meta, w, spec, fork_ns);
     };
-    let base = match store.load_link(key, &meta.links[entry])? {
-        ChainDoc::Full(s) => s,
-        ChainDoc::Delta(_) => {
-            return Err(SimError::new(
-                SimErrorKind::SnapshotChain,
-                "store link indexed as full parses as a delta",
-            ))
-        }
+    let mislabeled = |link: &ChainLink| {
+        SimError::new(
+            SimErrorKind::SnapshotChain,
+            format!(
+                "store link {} does not parse as its indexed kind",
+                link.file
+            ),
+        )
     };
-    let mut soc = restore_soc(w, spec, &base)?;
-    let mut deltas_since_full = 0usize;
+    let mut chain = match store.load_link(key, &meta.links[entry])? {
+        ChainDoc::Full(base) => SnapshotChain::new(base, REBASE_PERIOD),
+        ChainDoc::Delta(_) => return Err(mislabeled(&meta.links[entry])),
+    };
     for link in &meta.links[entry + 1..usable] {
         match store.load_link(key, link)? {
-            ChainDoc::Delta(d) => soc.sim.restore_delta(&d)?,
-            ChainDoc::Full(_) => {
-                return Err(SimError::new(
-                    SimErrorKind::SnapshotChain,
-                    "store link indexed as delta parses as a full snapshot",
-                ))
-            }
+            doc @ ChainDoc::Delta(_) => chain.push(doc)?,
+            ChainDoc::Full(_) => return Err(mislabeled(link)),
         }
-        deltas_since_full += 1;
     }
-    let restored = usable - entry;
-    let tip = meta.links[usable - 1].clone();
-    if tip.time_ns == fork_ns {
+    let mut soc = restore_soc_chain(w, spec, &chain)?;
+    let tip_ns = meta.links[usable - 1].time_ns;
+    if tip_ns == fork_ns {
         // Standing exactly on the tip: materialize the full document.
-        return Ok((soc.sim.snapshot()?, restored));
+        return soc.sim.snapshot();
     }
-    // Extend: run the gap, then file the extension as a delta off the tip
-    // (or a full rebase link once the delta run gets long enough).
+    // Extend: run the gap and, when the fork lies beyond the whole stored
+    // chain, file the next checkpoint (a delta off the tip, or a full
+    // rebase link once the delta run gets long enough).
     soc.sim
         .run_until(SimTime::ZERO + SimDuration::ns(fork_ns))?;
-    let snap = soc.sim.snapshot()?;
-    let extends_chain = tip.time_ns == meta.links.last().map_or(0, |l| l.time_ns);
-    if extends_chain {
-        let doc = if deltas_since_full >= REBASE_PERIOD {
-            ChainDoc::Full(snap.clone())
-        } else {
-            ChainDoc::Delta(soc.sim.snapshot_delta_from(tip.tip)?)
-        };
-        store.append_link(key, &mut meta, &doc, fork_ns)?;
+    if usable == meta.links.len() {
+        let doc = chain.checkpoint(&mut soc.sim)?;
+        store.append_link(key, &mut meta, doc, fork_ns)?;
+        if let ChainDoc::Full(snap) = doc {
+            return Ok(snap.clone());
+        }
     }
-    Ok((snap, restored))
+    soc.sim.snapshot()
 }
 
 /// Evaluate the sweep's missing points from the fork snapshot, appending
@@ -152,7 +147,6 @@ fn run_missing(
     sweep_warm_fork(
         &req.points,
         fork,
-        2, // delta_chain: rebuild each worker's base after two forks
         || restore_soc(w, spec, fork),
         |&clock: &u64, soc: &mut BuiltSoc| {
             let cpu = soc.cpu;
@@ -224,7 +218,7 @@ pub fn process_sweep(store: &SnapshotStore, req: &SweepRequest) -> SimResult<Swe
     };
     let (w, spec) = req.scenario();
     let attempt = |store: &SnapshotStore| -> SimResult<SweepReply> {
-        let (fork, _restored) = prefix_snapshot(store, key, &w, &spec, req.fork_ns)?;
+        let fork = prefix_snapshot(store, key, &w, &spec, req.fork_ns)?;
         let (recovered, _torn) = store.records(key, req.fork_ns)?;
         let done: Vec<Option<RunRecord>> = req
             .points

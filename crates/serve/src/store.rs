@@ -37,9 +37,10 @@ use drcf_kernel::prelude::{ChainDoc, SimError, SimErrorKind, SimResult};
 /// Store format tag; bump when the entry layout changes incompatibly.
 pub const STORE_SCHEMA: &str = "drcf-store-v1";
 
-/// Write a full rebase link after this many consecutive delta links, so a
-/// restore never applies more than `REBASE_PERIOD` deltas — the on-disk
-/// analogue of [`drcf_kernel::prelude::SnapshotChain`]'s rebase policy.
+/// Rebase period of every stored chain, passed to
+/// [`drcf_kernel::prelude::SnapshotChain::new`]: after this many
+/// consecutive delta links the next link is a full rebase, so a restore
+/// never applies more than `REBASE_PERIOD` deltas.
 pub const REBASE_PERIOD: usize = 4;
 
 /// One chain link as indexed by `meta.json`.

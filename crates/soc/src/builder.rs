@@ -510,6 +510,33 @@ pub fn restore_soc(
     spec: &SocSpec,
     snapshot: &Snapshot,
 ) -> SimResult<BuiltSoc> {
+    let mut soc = build_fitting(workload, spec, snapshot)?;
+    soc.sim.restore(snapshot)?;
+    Ok(soc)
+}
+
+/// [`restore_soc`] for a checkpoint chain: rebuild the SoC, check it fits
+/// the chain's base document, and replay the chain into it
+/// ([`SnapshotChain::restore_into`]).
+pub fn restore_soc_chain(
+    workload: &Workload,
+    spec: &SocSpec,
+    chain: &SnapshotChain,
+) -> SimResult<BuiltSoc> {
+    let Some(ChainDoc::Full(base)) = chain.docs().first() else {
+        return Err(SimError::new(
+            SimErrorKind::SnapshotChain,
+            "snapshot chain does not start with a full document",
+        ));
+    };
+    let mut soc = build_fitting(workload, spec, base)?;
+    chain.restore_into(&mut soc.sim)?;
+    Ok(soc)
+}
+
+/// Build the SoC and check its roster against `snapshot` before any state
+/// lands in it, so a mismatched spec names everything that differs.
+fn build_fitting(workload: &Workload, spec: &SocSpec, snapshot: &Snapshot) -> SimResult<BuiltSoc> {
     let mut soc = build_soc(workload, spec)?;
     if let Some(diff) = soc.sim.roster_mismatch(snapshot) {
         return Err(SimError::new(
@@ -520,7 +547,6 @@ pub fn restore_soc(
             ),
         ));
     }
-    soc.sim.restore(snapshot)?;
     soc.snapshot_at = None;
     Ok(soc)
 }

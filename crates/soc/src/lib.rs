@@ -30,8 +30,9 @@ pub mod workloads;
 pub mod prelude {
     pub use crate::accelerator::{regs, status, KernelAccelerator, KernelKind};
     pub use crate::builder::{
-        assign_bindings, build_soc, restore_soc, run_soc, run_soc_mut, scenario_fingerprint,
-        snapshot_prefix, BuiltSoc, Mapping, RunMetrics, SocConfigPath, SocCopyMode, SocSpec,
+        assign_bindings, build_soc, restore_soc, restore_soc_chain, run_soc, run_soc_mut,
+        scenario_fingerprint, snapshot_prefix, BuiltSoc, Mapping, RunMetrics, SocConfigPath,
+        SocCopyMode, SocSpec,
     };
     pub use crate::cpu::{Cpu, CpuConfig, CpuStats, Instr};
     pub use crate::partition::{
@@ -40,9 +41,7 @@ pub mod prelude {
         PlannedLink, Segment, SocGraph, StreamSpec,
     };
     pub use crate::profile::{asap_profile, estimate_task_cycles, measured_busy_fractions};
-    pub use crate::sharded::{
-        shards_env_override, tile_stat, FabricTile, ShardedSocRun, ShardedSocSpec, SHARDS_ENV,
-    };
+    pub use crate::sharded::{tile_stat, FabricRing, FabricTile};
     pub use crate::tasks::{
         compile, compile_with, task_input, AccelBinding, CompileOptions, CopyMode, Task, TaskGraph,
         TaskId, TaskKind,

@@ -25,9 +25,10 @@
 //!   same graph produces bit-identical [`ShardRunReport`]s at any shard
 //!   count — shards=1 *is* the single-LP oracle.
 //!
-//! [`crate::sharded::ShardedSocSpec`] is a thin preset over this module:
-//! its ring of fabric tiles is expressed as bus-less segments joined by
-//! streams.
+//! [`run_partitioned`] is the one way to run a sharded SoC: build the
+//! graph, then pass an explicit [`ShardConfig`] (end time, shard count,
+//! slice hashing, tracing). [`crate::sharded::FabricRing`] describes its
+//! ring of fabric tiles as bus-less segments joined by streams.
 
 use std::sync::Arc;
 

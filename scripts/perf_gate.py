@@ -9,10 +9,10 @@ the file as a `"commit"` field so the uploaded artifact is traceable to
 the exact revision, appends a one-line summary of the run to
 `BENCH_history.jsonl` (commit, timestamp, per-bench throughput, the
 live speedups, the sharded runs' critical-link and parallel-efficiency
-reports, and a `host` record with the hardware thread count and any
-`DRCF_SHARDS` override; the file is deduplicated by commit SHA, keeping
-the latest entry per commit, so re-runs of the same revision don't
-inflate the trajectory), and exits non-zero if:
+reports, and a `host` record with the hardware thread count; the file
+is deduplicated by commit SHA, keeping the latest entry per commit, so
+re-runs of the same revision don't inflate the trajectory), and exits
+non-zero if:
 
 - any `speedup_vs_baseline` entry has dropped below 1.0 — i.e. the
   current tree is slower than the baked per-scenario baseline;
@@ -105,7 +105,6 @@ def history_entry(bench: dict, sha: str) -> dict:
     # between runs on similar machines, so record what this one was.
     entry["host"] = {
         "hw_threads": bench.get("hw_threads", os.cpu_count()),
-        "drcf_shards": os.environ.get("DRCF_SHARDS"),
     }
     return entry
 

@@ -9,6 +9,9 @@
 //! to constants: mid-way through a coalesced configuration train, just
 //! after a completed train, and at the end of the run. A deliberate format
 //! change must update the constants and say why.
+//!
+//! The sharded multi-fabric ring is pinned the same way: its per-LP state
+//! hashes, slice hashes and event count at 1 and at 4 shards.
 
 use drcf::prelude::*;
 
@@ -91,4 +94,59 @@ fn snapshot_documents_match_the_golden_hashes() {
         (end.state_hash(), end.byte_len()),
     ];
     assert_eq!(got, GOLDEN, "snapshot documents changed");
+}
+
+/// The multi-fabric ring of the `sharded_soc` bench: 8 tiles with 24 work
+/// units and 8 delta dispatches per tick, run to 300 us with a state hash
+/// per synchronization window.
+fn bench_ring_run(shards: usize) -> PartitionedRun {
+    let ring = FabricRing {
+        tiles: 8,
+        work: 24,
+        fanout: 8,
+        ..FabricRing::default()
+    };
+    let cfg = ShardConfig::to(SimTime::ZERO + SimDuration::us(300))
+        .shards(shards)
+        .hash_slices(true);
+    run_partitioned(&std::sync::Arc::new(ring.graph()), &cfg).expect("ring run")
+}
+
+/// Events the bench ring dispatches over all LPs.
+const RING_DISPATCHED: u64 = 2_279_616;
+/// Synchronization windows per LP, each with one slice hash.
+const RING_SLICES: usize = 150;
+/// Per tile LP, in order: the final `state_hash`, which is also the last
+/// slice hash, and a rotate-xor fold of every slice hash. Recorded at 1
+/// shard through the ring's former run method, before `run_partitioned`
+/// became its only run path.
+const RING_GOLDEN: [(u64, u64); 8] = [
+    (8173551465553221912, 6601636666495589730),
+    (5941375899233604441, 905129867690350892),
+    (4652776573414587915, 4902952109284041075),
+    (16409356185398516807, 14773367067450941577),
+    (7171451354109611499, 483088765730287626),
+    (15160372177645918550, 11790005094024567736),
+    (8095325587179713144, 17115244911588790518),
+    (2902936252300542286, 4638452183558724275),
+];
+
+#[test]
+fn sharded_ring_matches_the_golden_hashes() {
+    for shards in [1, 4] {
+        let run = bench_ring_run(shards);
+        assert_eq!(run.report.total_dispatched(), RING_DISPATCHED);
+        assert_eq!(run.report.lps.len(), RING_GOLDEN.len());
+        for (i, (lp, &(state, fold))) in run.report.lps.iter().zip(&RING_GOLDEN).enumerate() {
+            assert_eq!(lp.name, format!("tile{i}"));
+            assert_eq!(lp.state_hash, state, "{shards} shards: {} state", lp.name);
+            assert_eq!(lp.slice_hashes.len(), RING_SLICES);
+            assert_eq!(lp.slice_hashes.last(), Some(&state));
+            let got = lp
+                .slice_hashes
+                .iter()
+                .fold(0u64, |acc, &h| acc.rotate_left(7) ^ h);
+            assert_eq!(got, fold, "{shards} shards: {} slices", lp.name);
+        }
+    }
 }

@@ -8,20 +8,29 @@
 //! count* — the merge only uses simulated-time data, so the document is
 //! part of the deterministic outcome, not of the execution mode.
 
+use std::sync::Arc;
+
 use drcf::prelude::*;
 
-fn traced_spec() -> ShardedSocSpec {
-    ShardedSocSpec {
-        tiles: 4,
-        horizon: SimDuration::us(50),
-        hash_slices: true,
-        trace_capacity: Some(1 << 14),
-        ..ShardedSocSpec::default()
-    }
+/// A four-tile ring run to 50 us at `shards` shards, with every LP's
+/// recorder on when `trace` is set.
+fn ring_run(shards: usize, trace: bool) -> PartitionedRun {
+    let graph = Arc::new(
+        FabricRing {
+            tiles: 4,
+            ..FabricRing::default()
+        }
+        .graph(),
+    );
+    let cfg = ShardConfig::to(SimTime::ZERO + SimDuration::us(50))
+        .shards(shards)
+        .hash_slices(true);
+    let cfg = if trace { cfg.trace(1 << 14) } else { cfg };
+    run_partitioned(&graph, &cfg).expect("sharded run")
 }
 
-fn merged_doc(shards: usize) -> (ShardedSocRun, Json) {
-    let run = traced_spec().run_with_shards(shards).expect("sharded run");
+fn merged_doc(shards: usize) -> (PartitionedRun, Json) {
+    let run = ring_run(shards, true);
     let doc = chrome_trace_sharded(&run.report).expect("merge traced run");
     (run, doc)
 }
@@ -154,11 +163,7 @@ fn jsonl_merge_tags_every_line_with_its_lp() {
 
 #[test]
 fn merging_an_untraced_run_is_a_loud_typed_error() {
-    let spec = ShardedSocSpec {
-        trace_capacity: None,
-        ..traced_spec()
-    };
-    let run = spec.run_with_shards(2).expect("untraced run");
+    let run = ring_run(2, false);
     let err = chrome_trace_sharded(&run.report).expect_err("must refuse");
     assert_eq!(err.kind, SimErrorKind::Validation);
     assert!(err.message.contains("tracing is off"), "{}", err.message);
