@@ -243,6 +243,9 @@ pub struct Bus {
     train: Option<TrainRun>,
     /// Ids handed out for de-coalesced in-flight bursts.
     train_txns: u64,
+    /// Arbitration scratch, refilled from `pending` on every grant so a
+    /// grant allocates nothing. Not bus state: snapshots skip it.
+    candidates: Vec<Candidate>,
     /// Accumulated statistics.
     pub stats: BusStats,
 }
@@ -264,6 +267,7 @@ impl Bus {
             outstanding_split: 0,
             train: None,
             train_txns: 0,
+            candidates: Vec::new(),
             stats: BusStats::default(),
         }
     }
@@ -362,8 +366,10 @@ impl Bus {
         if !matches!(self.state, State::Idle) || self.pending.is_empty() {
             return;
         }
-        let candidates: Vec<Candidate> = self.pending.iter().map(Pending::candidate).collect();
-        let Some(idx) = self.arbiter.pick(api.now(), &candidates) else {
+        self.candidates.clear();
+        self.candidates
+            .extend(self.pending.iter().map(Pending::candidate));
+        let Some(idx) = self.arbiter.pick(api.now(), &self.candidates) else {
             // TDMA outside the owner's slot: retry at the next boundary.
             self.arm_retry(api);
             return;
@@ -1136,7 +1142,7 @@ impl Component for Bus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::interfaces::{MasterPort, RegisterFile, SlaveAdapter};
     use drcf_kernel::testing::ok;
@@ -2012,10 +2018,11 @@ mod tests {
     }
 
     /// A small deterministic generator for the randomized train tests.
-    struct Lcg(u64);
+    /// Deterministic test randomness (a 64-bit LCG's high bits).
+    pub(crate) struct Lcg(pub(crate) u64);
 
     impl Lcg {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self
                 .0
                 .wrapping_mul(6364136223846793005)
@@ -2024,11 +2031,11 @@ mod tests {
         }
 
         /// Uniform in `lo..=hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
             lo + self.next() % (hi - lo + 1)
         }
 
-        fn flip(&mut self) -> bool {
+        pub(crate) fn flip(&mut self) -> bool {
             self.next() & 1 == 1
         }
     }

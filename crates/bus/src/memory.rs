@@ -14,6 +14,8 @@
 //! measure the effects of different memory organizations ... to the total
 //! system performance" (experiment E6).
 
+use std::ops::Range;
+
 use drcf_kernel::json::{ju64, ju64_of, Json};
 use drcf_kernel::prelude::*;
 use drcf_kernel::snapshot as snap;
@@ -114,20 +116,69 @@ pub struct MemoryStats {
     pub direct_words: u64,
 }
 
-/// Words per dirty-tracking page. Each page carries a deterministic write
-/// epoch; a live restore along a snapshot lineage (`Simulator::rewind`,
-/// `Simulator::restore_delta`) skips re-filling pages whose epoch matches
-/// the document, so warm forks pay for the words that changed, not the
-/// whole image.
+/// Words per page of the image. A page is the unit of both storage and
+/// dirty tracking: it is allocated on its first nonzero write, and it
+/// carries a deterministic write epoch, so a live restore along a snapshot
+/// lineage (`Simulator::rewind`, `Simulator::restore_delta`) skips pages
+/// whose epoch matches the document. Warm forks and captures pay for the
+/// words a run touched, not the whole image.
 pub const PAGE_WORDS: usize = 64;
+
+/// One allocated page of the image.
+type Page = Box<[Word; PAGE_WORDS]>;
+
+/// The pages that words `start..end` of the image span, each with the word
+/// range it covers inside that page.
+fn page_spans(start: usize, end: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let pages = if start < end {
+        start / PAGE_WORDS..end.div_ceil(PAGE_WORDS)
+    } else {
+        0..0
+    };
+    pages.map(move |p| {
+        let first = p * PAGE_WORDS;
+        (
+            p,
+            start.max(first) - first..end.min(first + PAGE_WORDS) - first,
+        )
+    })
+}
+
+/// An `[index, value]` pair of a snapshot's sparse word or page-epoch list.
+fn pair_entry(e: &Json, what: &str) -> SimResult<(u64, u64)> {
+    e.as_arr()
+        .filter(|p| p.len() == 2)
+        .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
+        .ok_or_else(|| snap::err(format!("malformed memory {what} entry")))
+}
+
+/// A document's `[page, epoch]` entries, each page checked against a
+/// memory of `pages` pages.
+fn doc_page_epochs(
+    state: &Json,
+    pages: usize,
+) -> SimResult<impl Iterator<Item = SimResult<(usize, u64)>> + '_> {
+    Ok(snap::arr_field(state, "page_epochs")?.iter().map(move |e| {
+        let (p, ep) = pair_entry(e, "page-epoch")?;
+        if p < pages as u64 {
+            Ok((p as usize, ep))
+        } else {
+            Err(snap::err(format!("memory page {p} outside capacity")))
+        }
+    }))
+}
 
 /// The RAM component.
 pub struct Memory {
     cfg: MemoryConfig,
-    data: Vec<Word>,
+    /// The image, one slot per `PAGE_WORDS` words. An absent page reads as
+    /// zeros, so building, capturing and fully restoring a memory cost
+    /// the pages in use, not the capacity.
+    pages: Vec<Option<Page>>,
     /// Per-page write counters — monotonically non-decreasing along a run,
     /// so epoch equality between two points on one timeline implies the
-    /// page content is unchanged between them.
+    /// page content is unchanged between them. Every write counts, a zero
+    /// write onto an absent page included.
     page_epochs: Vec<u64>,
     bus_busy_until: SimTime,
     direct_busy_until: SimTime,
@@ -139,12 +190,11 @@ impl Memory {
     /// New zero-initialized memory.
     pub fn new(cfg: MemoryConfig) -> Self {
         crate::snapshot::register_bus_codecs();
-        let data = vec![0; cfg.size_words];
-        let page_epochs = vec![0; cfg.size_words.div_ceil(PAGE_WORDS)];
+        let pages = cfg.size_words.div_ceil(PAGE_WORDS);
         Memory {
             cfg,
-            data,
-            page_epochs,
+            pages: vec![None; pages],
+            page_epochs: vec![0; pages],
             bus_busy_until: SimTime::ZERO,
             direct_busy_until: SimTime::ZERO,
             stats: MemoryStats::default(),
@@ -156,29 +206,72 @@ impl Memory {
         &self.cfg
     }
 
+    /// Image index of `addr`, if it lies inside the memory.
+    fn index(&self, addr: Addr) -> Option<usize> {
+        let i = addr.checked_sub(self.cfg.base)?;
+        (i < self.cfg.size_words as u64).then_some(i as usize)
+    }
+
+    /// Image index of the word a document entry names, or a restore error.
+    fn doc_index(&self, i: u64) -> SimResult<usize> {
+        if i < self.cfg.size_words as u64 {
+            Ok(i as usize)
+        } else {
+            Err(snap::err(format!("memory word {i} outside capacity")))
+        }
+    }
+
+    /// Word `i` of the image (in range).
+    fn word(&self, i: usize) -> Word {
+        self.pages[i / PAGE_WORDS]
+            .as_ref()
+            .map_or(0, |page| page[i % PAGE_WORDS])
+    }
+
+    /// Page `p`, allocated first when `alloc` is set (a nonzero word is
+    /// about to land in it); `None` for an absent page that stays absent.
+    fn page_mut(&mut self, p: usize, alloc: bool) -> Option<&mut [Word; PAGE_WORDS]> {
+        let slot = &mut self.pages[p];
+        if alloc && slot.is_none() {
+            *slot = Some(Box::new([0; PAGE_WORDS]));
+        }
+        slot.as_deref_mut()
+    }
+
+    /// Set word `i` (in range) without touching its page epoch.
+    fn set_word(&mut self, i: usize, v: Word) {
+        if let Some(page) = self.page_mut(i / PAGE_WORDS, v != 0) {
+            page[i % PAGE_WORDS] = v;
+        }
+    }
+
     /// Direct (zero-time, test-only) peek.
     pub fn peek(&self, addr: Addr) -> Option<Word> {
-        self.data
-            .get((addr.checked_sub(self.cfg.base)?) as usize)
-            .copied()
+        self.index(addr).map(|i| self.word(i))
     }
 
     /// Direct (zero-time, test-only) poke.
     pub fn poke(&mut self, addr: Addr, v: Word) {
-        let i = (addr - self.cfg.base) as usize;
-        self.data[i] = v;
+        let i = self
+            .index(addr)
+            .unwrap_or_else(|| panic!("poke at {addr:#x} outside memory"));
+        self.set_word(i, v);
         self.page_epochs[i / PAGE_WORDS] += 1;
     }
 
     /// Preload a block of words starting at `addr`.
     pub fn load(&mut self, addr: Addr, words: &[Word]) {
         let start = (addr - self.cfg.base) as usize;
-        self.data[start..start + words.len()].copy_from_slice(words);
-        if !words.is_empty() {
-            let last = (start + words.len() - 1) / PAGE_WORDS;
-            for p in (start / PAGE_WORDS)..=last {
-                self.page_epochs[p] += 1;
+        let end = start + words.len();
+        assert!(end <= self.cfg.size_words, "load past the end of memory");
+        let mut rest = words;
+        for (p, r) in page_spans(start, end) {
+            let (chunk, tail) = rest.split_at(r.len());
+            rest = tail;
+            if let Some(page) = self.page_mut(p, chunk.iter().any(|&w| w != 0)) {
+                page[r].copy_from_slice(chunk);
             }
+            self.page_epochs[p] += 1;
         }
     }
 
@@ -194,12 +287,15 @@ impl Memory {
         );
         let start = (addr - self.cfg.base) as usize;
         let end = start + words;
-        self.data[start..end].fill(0);
-        let mut i = start;
-        while i < end {
-            let page_end = ((i / PAGE_WORDS + 1) * PAGE_WORDS).min(end);
-            self.page_epochs[i / PAGE_WORDS] += (page_end - i) as u64;
-            i = page_end;
+        assert!(
+            end <= self.cfg.size_words,
+            "bulk write past the end of memory"
+        );
+        for (p, r) in page_spans(start, end) {
+            self.page_epochs[p] += r.len() as u64;
+            if let Some(page) = self.page_mut(p, false) {
+                page[r].fill(0);
+            }
         }
     }
 
@@ -214,38 +310,23 @@ impl Memory {
         done.since(now)
     }
 
-    /// Nonzero words as `[index, value]` pairs — memories are mostly zeros,
-    /// so snapshots stay proportional to live data, not capacity.
+    /// Nonzero words as `[index, value]` pairs in index order — memories
+    /// are mostly zeros, so snapshots stay proportional to live data, not
+    /// capacity, and only present pages are walked.
     fn sparse_data_json(&self) -> Json {
         Json::Arr(
-            self.data
+            self.pages
                 .iter()
                 .enumerate()
-                .filter(|&(_, &w)| w != 0)
-                .map(|(i, &w)| Json::Arr(vec![ju64(i as u64), ju64(w)]))
+                .filter_map(|(p, page)| Some((p * PAGE_WORDS, page.as_deref()?)))
+                .flat_map(|(first, page)| {
+                    page.iter()
+                        .enumerate()
+                        .filter(|&(_, &w)| w != 0)
+                        .map(move |(o, &w)| Json::Arr(vec![ju64((first + o) as u64), ju64(w)]))
+                })
                 .collect(),
         )
-    }
-
-    fn restore_sparse_data(&mut self, j: &Json) -> SimResult<()> {
-        // The freshly built memory may have been preloaded by the harness;
-        // the snapshot is authoritative, so start from all-zeros.
-        self.data.fill(0);
-        for e in j
-            .as_arr()
-            .ok_or_else(|| snap::err("memory data is not an array"))?
-        {
-            let pair = e.as_arr().filter(|p| p.len() == 2);
-            let (i, w) = pair
-                .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-                .ok_or_else(|| snap::err("malformed memory word entry"))?;
-            let slot = self
-                .data
-                .get_mut(i as usize)
-                .ok_or_else(|| snap::err(format!("memory word {i} outside capacity")))?;
-            *slot = w;
-        }
-        Ok(())
     }
 
     /// Nonzero page epochs as `[page, epoch]` pairs.
@@ -260,21 +341,34 @@ impl Memory {
         )
     }
 
-    /// The document's page-epoch table, densified to this memory's page
-    /// count.
-    fn doc_page_epochs(&self, state: &Json) -> SimResult<Vec<u64>> {
-        let mut epochs = vec![0u64; self.page_epochs.len()];
-        for e in snap::arr_field(state, "page_epochs")? {
-            let pair = e.as_arr().filter(|p| p.len() == 2);
-            let (p, ep) = pair
-                .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-                .ok_or_else(|| snap::err("malformed memory page-epoch entry"))?;
-            let slot = epochs
-                .get_mut(p as usize)
-                .ok_or_else(|| snap::err(format!("memory page {p} outside capacity")))?;
-            *slot = ep;
+    /// The pages whose live epoch differs from the document's, each with
+    /// the document's epoch, in page order. One merge walk of the live
+    /// table against the document's sparse list, which a capture writes
+    /// in page order; a page the list skips has epoch 0 there.
+    fn dirty_pages(&self, state: &Json) -> SimResult<Vec<(usize, u64)>> {
+        let mut dirty = Vec::new();
+        let mut next = 0;
+        for entry in doc_page_epochs(state, self.page_epochs.len())? {
+            let (p, ep) = entry?;
+            if p < next {
+                return Err(snap::err("memory page epochs out of page order"));
+            }
+            dirty.extend(
+                (next..p)
+                    .filter(|&q| self.page_epochs[q] != 0)
+                    .map(|q| (q, 0)),
+            );
+            if self.page_epochs[p] != ep {
+                dirty.push((p, ep));
+            }
+            next = p + 1;
         }
-        Ok(epochs)
+        dirty.extend(
+            (next..self.page_epochs.len())
+                .filter(|&q| self.page_epochs[q] != 0)
+                .map(|q| (q, 0)),
+        );
+        Ok(dirty)
     }
 
     /// Restore the non-image fields shared by [`Component::restore`] and
@@ -306,24 +400,16 @@ impl BusSlaveModel for Memory {
         if self.cfg.poisoned(addr) {
             return Err(());
         }
-        self.data
-            .get((addr.checked_sub(self.cfg.base).ok_or(())?) as usize)
-            .copied()
-            .ok_or(())
+        self.index(addr).map(|i| self.word(i)).ok_or(())
     }
     fn write(&mut self, addr: Addr, data: Word) -> Result<(), ()> {
         if self.cfg.poisoned(addr) {
             return Err(());
         }
-        let i = (addr.checked_sub(self.cfg.base).ok_or(())?) as usize;
-        match self.data.get_mut(i) {
-            Some(w) => {
-                *w = data;
-                self.page_epochs[i / PAGE_WORDS] += 1;
-                Ok(())
-            }
-            None => Err(()),
-        }
+        let i = self.index(addr).ok_or(())?;
+        self.set_word(i, data);
+        self.page_epochs[i / PAGE_WORDS] += 1;
+        Ok(())
     }
     fn access_cycles(&self, op: BusOp, _addr: Addr, burst: usize) -> u64 {
         self.cfg.service_cycles(op, burst)
@@ -354,9 +440,21 @@ impl Component for Memory {
 
     fn restore(&mut self, state: &Json) -> SimResult<()> {
         // A cross-simulator restore trusts nothing about the live image:
-        // force-parse every word, then adopt the document's epochs.
-        self.restore_sparse_data(snap::field(state, "data")?)?;
-        self.page_epochs = self.doc_page_epochs(state)?;
+        // drop every page, set the document's words, then adopt its epochs.
+        let data = snap::field(state, "data")?
+            .as_arr()
+            .ok_or_else(|| snap::err("memory data is not an array"))?;
+        self.pages.fill(None);
+        for e in data {
+            let (i, w) = pair_entry(e, "word")?;
+            let i = self.doc_index(i)?;
+            self.set_word(i, w);
+        }
+        self.page_epochs.fill(0);
+        for entry in doc_page_epochs(state, self.page_epochs.len())? {
+            let (p, ep) = entry?;
+            self.page_epochs[p] = ep;
+        }
         self.restore_meta(state)
     }
 
@@ -365,34 +463,24 @@ impl Component for Memory {
         // monotonically non-decreasing along the one timeline the document
         // and the live state share, so epoch equality means no write
         // touched the page between the two points — its words are already
-        // correct. Only mismatching pages are zeroed and re-filled.
-        let doc_epochs = self.doc_page_epochs(state)?;
-        let dirty: Vec<bool> = doc_epochs
-            .iter()
-            .zip(&self.page_epochs)
-            .map(|(d, l)| d != l)
-            .collect();
-        if dirty.iter().any(|&d| d) {
-            for (p, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
-                let lo = p * PAGE_WORDS;
-                let hi = ((p + 1) * PAGE_WORDS).min(self.data.len());
-                self.data[lo..hi].fill(0);
+        // correct. Only mismatching pages are dropped and refilled.
+        let dirty = self.dirty_pages(state)?;
+        if !dirty.is_empty() {
+            for &(p, ep) in &dirty {
+                self.pages[p] = None;
+                self.page_epochs[p] = ep;
             }
             for e in snap::arr_field(state, "data")? {
-                let pair = e.as_arr().filter(|p| p.len() == 2);
-                let (i, w) = pair
-                    .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-                    .ok_or_else(|| snap::err("malformed memory word entry"))?;
-                let i = i as usize;
-                if i >= self.data.len() {
-                    return Err(snap::err(format!("memory word {i} outside capacity")));
-                }
-                if dirty[i / PAGE_WORDS] {
-                    self.data[i] = w;
+                let (i, w) = pair_entry(e, "word")?;
+                let i = self.doc_index(i)?;
+                if dirty
+                    .binary_search_by_key(&(i / PAGE_WORDS), |&(p, _)| p)
+                    .is_ok()
+                {
+                    self.set_word(i, w);
                 }
             }
         }
-        self.page_epochs = doc_epochs;
         self.restore_meta(state)
     }
 
@@ -513,6 +601,7 @@ impl Component for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::tests::Lcg;
     use crate::protocol::BusRequest;
     use drcf_kernel::testing::{ok, some};
     use std::cell::RefCell;
@@ -548,6 +637,14 @@ mod tests {
         assert!(m.write(0x1010, 0).is_err());
     }
 
+    /// Every word of `m`, read through `peek`.
+    fn contents(m: &Memory) -> Vec<Option<Word>> {
+        let base = m.cfg.base;
+        (base..base + m.cfg.size_words as u64)
+            .map(|a| m.peek(a))
+            .collect()
+    }
+
     #[test]
     fn fill_zero_matches_word_by_word_writes() {
         let cfg = MemoryConfig {
@@ -556,18 +653,361 @@ mod tests {
             ..MemoryConfig::default()
         };
         // Bursts inside one page, ending on a page boundary, and spanning
-        // two and three pages.
-        for (addr, words) in [(0x45, 7), (0x40 + 56, 8), (0x40 + 60, 9), (0x40 + 10, 150)] {
-            let (mut got, mut want) = (Memory::new(cfg.clone()), Memory::new(cfg.clone()));
-            for m in [&mut got, &mut want] {
-                m.load(0x40, &vec![9; 5 * PAGE_WORDS]);
+        // two and three pages; onto a preloaded image and onto one whose
+        // pages are all absent.
+        for preload in [true, false] {
+            for (addr, words) in [(0x45, 7), (0x40 + 56, 8), (0x40 + 60, 9), (0x40 + 10, 150)] {
+                let (mut got, mut want) = (Memory::new(cfg.clone()), Memory::new(cfg.clone()));
+                if preload {
+                    for m in [&mut got, &mut want] {
+                        m.load(0x40, &vec![9; 5 * PAGE_WORDS]);
+                    }
+                }
+                got.fill_zero(addr, words);
+                for i in 0..words as u64 {
+                    ok(want.write(addr + i, 0));
+                }
+                // An absent page equals a zeroed one: compare contents.
+                assert_eq!(contents(&got), contents(&want), "burst {addr:#x}+{words}");
+                assert_eq!(got.page_epochs, want.page_epochs, "burst {addr:#x}+{words}");
             }
-            got.fill_zero(addr, words);
-            for i in 0..words as u64 {
-                ok(want.write(addr + i, 0));
+        }
+    }
+
+    /// The image as one dense zeroed `Vec` with per-page epochs: the
+    /// representation [`Memory`] had before paging, kept verbatim as the
+    /// oracle for the paged image.
+    struct DenseMemory {
+        cfg: MemoryConfig,
+        data: Vec<Word>,
+        page_epochs: Vec<u64>,
+    }
+
+    impl DenseMemory {
+        fn new(cfg: MemoryConfig) -> Self {
+            let data = vec![0; cfg.size_words];
+            let page_epochs = vec![0; cfg.size_words.div_ceil(PAGE_WORDS)];
+            DenseMemory {
+                cfg,
+                data,
+                page_epochs,
             }
-            assert_eq!(got.data, want.data, "burst {addr:#x}+{words}");
-            assert_eq!(got.page_epochs, want.page_epochs, "burst {addr:#x}+{words}");
+        }
+
+        fn peek(&self, addr: Addr) -> Option<Word> {
+            self.data
+                .get((addr.checked_sub(self.cfg.base)?) as usize)
+                .copied()
+        }
+
+        fn poke(&mut self, addr: Addr, v: Word) {
+            let i = (addr - self.cfg.base) as usize;
+            self.data[i] = v;
+            self.page_epochs[i / PAGE_WORDS] += 1;
+        }
+
+        fn load(&mut self, addr: Addr, words: &[Word]) {
+            let start = (addr - self.cfg.base) as usize;
+            self.data[start..start + words.len()].copy_from_slice(words);
+            if !words.is_empty() {
+                let last = (start + words.len() - 1) / PAGE_WORDS;
+                for p in (start / PAGE_WORDS)..=last {
+                    self.page_epochs[p] += 1;
+                }
+            }
+        }
+
+        fn fill_zero(&mut self, addr: Addr, words: usize) {
+            let start = (addr - self.cfg.base) as usize;
+            let end = start + words;
+            self.data[start..end].fill(0);
+            let mut i = start;
+            while i < end {
+                let page_end = ((i / PAGE_WORDS + 1) * PAGE_WORDS).min(end);
+                self.page_epochs[i / PAGE_WORDS] += (page_end - i) as u64;
+                i = page_end;
+            }
+        }
+
+        fn read(&self, addr: Addr) -> Result<Word, ()> {
+            if self.cfg.poisoned(addr) {
+                return Err(());
+            }
+            self.data
+                .get((addr.checked_sub(self.cfg.base).ok_or(())?) as usize)
+                .copied()
+                .ok_or(())
+        }
+
+        fn write(&mut self, addr: Addr, data: Word) -> Result<(), ()> {
+            if self.cfg.poisoned(addr) {
+                return Err(());
+            }
+            let i = (addr.checked_sub(self.cfg.base).ok_or(())?) as usize;
+            match self.data.get_mut(i) {
+                Some(w) => {
+                    *w = data;
+                    self.page_epochs[i / PAGE_WORDS] += 1;
+                    Ok(())
+                }
+                None => Err(()),
+            }
+        }
+
+        /// The document [`Memory`] writes, for a memory that never served
+        /// a port (busy times and statistics all zero).
+        fn snapshot(&self) -> Json {
+            let pairs = |v: &[u64]| {
+                Json::Arr(
+                    v.iter()
+                        .enumerate()
+                        .filter(|&(_, &x)| x != 0)
+                        .map(|(i, &x)| Json::Arr(vec![ju64(i as u64), ju64(x)]))
+                        .collect(),
+                )
+            };
+            let zero = ju64(0);
+            Json::obj()
+                .with("data", pairs(&self.data))
+                .with("page_epochs", pairs(&self.page_epochs))
+                .with("bus_busy_until", zero.clone())
+                .with("direct_busy_until", zero.clone())
+                .with(
+                    "stats",
+                    Json::obj()
+                        .with("reads", zero.clone())
+                        .with("writes", zero.clone())
+                        .with("words_read", zero.clone())
+                        .with("words_written", zero.clone())
+                        .with("direct_reads", zero.clone())
+                        .with("direct_words", zero),
+                )
+        }
+
+        fn restore_sparse_data(&mut self, j: &Json) -> SimResult<()> {
+            self.data.fill(0);
+            for e in j
+                .as_arr()
+                .ok_or_else(|| snap::err("memory data is not an array"))?
+            {
+                let pair = e.as_arr().filter(|p| p.len() == 2);
+                let (i, w) = pair
+                    .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
+                    .ok_or_else(|| snap::err("malformed memory word entry"))?;
+                let slot = self
+                    .data
+                    .get_mut(i as usize)
+                    .ok_or_else(|| snap::err(format!("memory word {i} outside capacity")))?;
+                *slot = w;
+            }
+            Ok(())
+        }
+
+        fn doc_page_epochs(&self, state: &Json) -> SimResult<Vec<u64>> {
+            let mut epochs = vec![0u64; self.page_epochs.len()];
+            for e in snap::arr_field(state, "page_epochs")? {
+                let pair = e.as_arr().filter(|p| p.len() == 2);
+                let (p, ep) = pair
+                    .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
+                    .ok_or_else(|| snap::err("malformed memory page-epoch entry"))?;
+                let slot = epochs
+                    .get_mut(p as usize)
+                    .ok_or_else(|| snap::err(format!("memory page {p} outside capacity")))?;
+                *slot = ep;
+            }
+            Ok(epochs)
+        }
+
+        fn restore(&mut self, state: &Json) -> SimResult<()> {
+            self.restore_sparse_data(snap::field(state, "data")?)?;
+            self.page_epochs = self.doc_page_epochs(state)?;
+            Ok(())
+        }
+
+        fn restore_live(&mut self, state: &Json) -> SimResult<()> {
+            let doc_epochs = self.doc_page_epochs(state)?;
+            let dirty: Vec<bool> = doc_epochs
+                .iter()
+                .zip(&self.page_epochs)
+                .map(|(d, l)| d != l)
+                .collect();
+            if dirty.iter().any(|&d| d) {
+                for (p, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
+                    let lo = p * PAGE_WORDS;
+                    let hi = ((p + 1) * PAGE_WORDS).min(self.data.len());
+                    self.data[lo..hi].fill(0);
+                }
+                for e in snap::arr_field(state, "data")? {
+                    let pair = e.as_arr().filter(|p| p.len() == 2);
+                    let (i, w) = pair
+                        .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
+                        .ok_or_else(|| snap::err("malformed memory word entry"))?;
+                    let i = i as usize;
+                    if i >= self.data.len() {
+                        return Err(snap::err(format!("memory word {i} outside capacity")));
+                    }
+                    if dirty[i / PAGE_WORDS] {
+                        self.data[i] = w;
+                    }
+                }
+            }
+            self.page_epochs = doc_epochs;
+            Ok(())
+        }
+    }
+
+    /// A random word: zero a third of the time, so zero writes land on
+    /// absent pages and clear words of present ones.
+    fn random_word(rng: &mut Lcg) -> Word {
+        if rng.range(0, 2) == 0 {
+            0
+        } else {
+            rng.range(1, 1 << 20)
+        }
+    }
+
+    /// Drive the paged [`Memory`] and the [`DenseMemory`] oracle through
+    /// one random timeline of writes, preloads, pokes, bulk zero fills,
+    /// captures, full restores into the dirty live image and live rewinds
+    /// to earlier captures, and compare every read, peek, rejected access
+    /// and snapshot document after each step.
+    #[test]
+    fn paged_image_matches_the_dense_oracle() {
+        let mut rng = Lcg(0x7061_6765);
+        for _ in 0..200 {
+            // Capacities that are rarely a whole number of pages, a
+            // nonzero base, and up to two poisoned ranges.
+            let size = rng.range(1, 6 * PAGE_WORDS as u64 + 7);
+            let base = rng.range(0, 3) * 0x1000 + rng.range(0, 90);
+            let poison = (0..rng.range(0, 2))
+                .map(|_| {
+                    let low = base + rng.range(0, size - 1);
+                    (low, low + rng.range(0, 5))
+                })
+                .collect();
+            let cfg = MemoryConfig {
+                base,
+                size_words: size as usize,
+                poison,
+                ..MemoryConfig::default()
+            };
+            let mut paged = Memory::new(cfg.clone());
+            let mut dense = DenseMemory::new(cfg.clone());
+            // Every capture, and the captures on the live timeline (the
+            // ones a live restore may rewind to).
+            let (mut history, mut timeline): (Vec<Json>, Vec<Json>) = (Vec::new(), Vec::new());
+            let top = base + size;
+            for step in 0..120 {
+                match rng.range(0, 9) {
+                    0..=2 => {
+                        // Single writes, a few falling just outside.
+                        let addr = rng.range(base.saturating_sub(2), top + 1);
+                        let v = random_word(&mut rng);
+                        assert_eq!(
+                            paged.write(addr, v),
+                            dense.write(addr, v),
+                            "write {addr:#x}"
+                        );
+                    }
+                    3 => {
+                        let start = rng.range(base, top - 1);
+                        let words: Vec<Word> = (0..rng.range(0, top - start))
+                            .map(|_| if rng.flip() { 0 } else { random_word(&mut rng) })
+                            .collect();
+                        paged.load(start, &words);
+                        dense.load(start, &words);
+                    }
+                    4 => {
+                        let addr = rng.range(base, top - 1);
+                        let v = random_word(&mut rng);
+                        paged.poke(addr, v);
+                        dense.poke(addr, v);
+                    }
+                    5 => {
+                        // The bus never coalesces over poisoned words.
+                        let start = rng.range(base, top - 1);
+                        let words = rng.range(0, (top - start).min(3 * PAGE_WORDS as u64));
+                        if (start..start + words).all(|a| !cfg.poisoned(a)) {
+                            paged.fill_zero(start, words as usize);
+                            dense.fill_zero(start, words as usize);
+                        }
+                    }
+                    6 => {
+                        let doc = ok(paged.snapshot());
+                        history.push(doc.clone());
+                        timeline.push(doc);
+                    }
+                    7 if !history.is_empty() => {
+                        let doc = history[rng.range(0, history.len() as u64 - 1) as usize].clone();
+                        ok(paged.restore(&doc));
+                        ok(dense.restore(&doc));
+                        timeline = vec![doc];
+                    }
+                    8 if !timeline.is_empty() => {
+                        // Rewind; captures after the target belong to the
+                        // abandoned branch and are forgotten.
+                        let k = rng.range(0, timeline.len() as u64 - 1) as usize;
+                        timeline.truncate(k + 1);
+                        ok(paged.restore_live(&timeline[k]));
+                        ok(dense.restore_live(&timeline[k]));
+                    }
+                    _ => {}
+                }
+                let at = format!("step {step} of {cfg:?}");
+                assert_eq!(ok(paged.snapshot()), dense.snapshot(), "{at}");
+                for addr in base.saturating_sub(1)..=top {
+                    assert_eq!(paged.peek(addr), dense.peek(addr), "peek {addr:#x}, {at}");
+                    assert_eq!(paged.read(addr), dense.read(addr), "read {addr:#x}, {at}");
+                }
+            }
+        }
+    }
+
+    /// A document naming a word or page past the capacity is refused the
+    /// same way by both restore paths and by the oracle.
+    #[test]
+    fn restore_refuses_entries_outside_capacity() {
+        let cfg = MemoryConfig {
+            base: 0x80,
+            size_words: PAGE_WORDS + 3,
+            ..MemoryConfig::default()
+        };
+        let mut m = Memory::new(cfg.clone());
+        ok(m.write(0x80 + PAGE_WORDS as u64 + 2, 5));
+        let doc = ok(m.snapshot());
+        let with = |key: &str, entry: [u64; 2]| {
+            let Json::Obj(mut fields) = doc.clone() else {
+                unreachable!("a memory snapshot is an object")
+            };
+            for (k, v) in &mut fields {
+                if k == key {
+                    if let Json::Arr(list) = v {
+                        list.push(Json::Arr(entry.iter().map(|&x| ju64(x)).collect()));
+                    }
+                }
+            }
+            Json::Obj(fields)
+        };
+        let past_word = with("data", [PAGE_WORDS as u64 + 3, 1]);
+        let past_page = with("page_epochs", [2, 1]);
+        for bad in [&past_word, &past_page] {
+            let want = DenseMemory::new(cfg.clone())
+                .restore(bad)
+                .map_err(|e| e.to_string());
+            let got = Memory::new(cfg.clone())
+                .restore(bad)
+                .map_err(|e| e.to_string());
+            assert!(want.is_err());
+            assert_eq!(got, want);
+            // A live rewind onto a memory whose epochs differ parses it too.
+            let mut live = Memory::new(cfg.clone());
+            ok(live.write(0x80, 1));
+            let mut oracle = DenseMemory::new(cfg.clone());
+            ok(oracle.write(0x80, 1));
+            assert_eq!(
+                live.restore_live(bad).map_err(|e| e.to_string()),
+                oracle.restore_live(bad).map_err(|e| e.to_string())
+            );
         }
     }
 

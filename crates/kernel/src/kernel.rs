@@ -2150,6 +2150,17 @@ impl Simulator {
     /// [`Simulator::snapshot_delta`] by parent hash alone — enough to chain
     /// delta-on-delta without keeping parent documents alive.
     pub fn snapshot_delta_from(&mut self, parent_hash: u64) -> SimResult<SnapshotDelta> {
+        Ok(self.snapshot_delta_and_full(parent_hash)?.0)
+    }
+
+    /// [`Simulator::snapshot_delta_from`] plus the full child document the
+    /// delta was cut from (its `state_hash` is the delta's child hash), for
+    /// a caller that files the delta and forks from the full state: one
+    /// capture serves both.
+    pub fn snapshot_delta_and_full(
+        &mut self,
+        parent_hash: u64,
+    ) -> SimResult<(SnapshotDelta, Snapshot)> {
         let Some(parent) = self.captured_entry(parent_hash) else {
             return Err(SimError::new(
                 SimErrorKind::SnapshotChain,
@@ -2226,7 +2237,7 @@ impl Simulator {
         self.st.metrics.snapshot_delta_bytes = delta.byte_len();
         self.st.metrics.snapshot_dirty_components =
             dirty_comps.iter().filter(|&&d| d).count() as u64;
-        Ok(delta)
+        Ok((delta, full))
     }
 
     /// Apply an incremental snapshot to this *live* simulator, patching it

@@ -367,16 +367,23 @@ impl SnapshotChain {
     /// Capture the next checkpoint from a live simulator: a delta against
     /// the current tip, or a full rebase once `delta_chain` consecutive
     /// deltas have accumulated (and always when `delta_chain` is 0).
-    /// Returns the document just appended, for the caller to persist.
-    pub fn checkpoint(&mut self, sim: &mut crate::kernel::Simulator) -> SimResult<&ChainDoc> {
-        let doc = if self.delta_chain == 0 || self.deltas_since_rebase() >= self.delta_chain {
-            ChainDoc::Full(sim.snapshot()?)
+    /// Returns the document just appended, for the caller to persist, and
+    /// the full state at the new tip, from the same single capture.
+    pub fn checkpoint(
+        &mut self,
+        sim: &mut crate::kernel::Simulator,
+    ) -> SimResult<(&ChainDoc, Snapshot)> {
+        let (doc, full) = if self.delta_chain == 0 || self.deltas_since_rebase() >= self.delta_chain
+        {
+            let full = sim.snapshot()?;
+            (ChainDoc::Full(full.clone()), full)
         } else {
-            ChainDoc::Delta(sim.snapshot_delta_from(self.tip_hash())?)
+            let (delta, full) = sim.snapshot_delta_and_full(self.tip_hash())?;
+            (ChainDoc::Delta(delta), full)
         };
         self.docs.push(doc);
         match self.docs.last() {
-            Some(d) => Ok(d),
+            Some(d) => Ok((d, full)),
             None => Err(err("snapshot chain invariant broken: empty after push")),
         }
     }

@@ -383,7 +383,8 @@ fn snapshot_chain_rebases_and_restores() {
     let mut tip_hashes = Vec::new();
     for &t in &checkpoints {
         w.sim.run_until(at(t)).expect("advance");
-        let doc = chain.checkpoint(&mut w.sim).expect("checkpoint");
+        let (doc, tip) = chain.checkpoint(&mut w.sim).expect("checkpoint");
+        assert_eq!(tip.state_hash(), doc.tip_hash(), "checkpoint's full tip");
         tip_hashes.push(doc.tip_hash());
     }
     // delta_chain = 2: docs = base, D, D, Full(rebase), D, D.

@@ -123,11 +123,9 @@ fn prefix_snapshot(
     soc.sim
         .run_until(SimTime::ZERO + SimDuration::ns(fork_ns))?;
     if usable == meta.links.len() {
-        let doc = chain.checkpoint(&mut soc.sim)?;
+        let (doc, fork) = chain.checkpoint(&mut soc.sim)?;
         store.append_link(key, &mut meta, doc, fork_ns)?;
-        if let ChainDoc::Full(snap) = doc {
-            return Ok(snap.clone());
-        }
+        return Ok(fork);
     }
     soc.sim.snapshot()
 }
