@@ -96,7 +96,7 @@ fn snapshot_scenario() -> (drcf_soc::prelude::Workload, drcf_soc::prelude::SocSp
 }
 
 fn write_snapshot(path: &str, at_ns: Option<u64>, deltas: usize) {
-    use drcf_kernel::prelude::{SimDuration, SimTime};
+    use drcf_kernel::prelude::{SimDuration, SimTime, SnapshotChain};
     use drcf_soc::prelude::*;
     let (w, spec) = snapshot_scenario();
     let (m, _) = run_soc(build_soc(&w, &spec).expect("build snapshot scenario"));
@@ -121,42 +121,43 @@ fn write_snapshot(path: &str, at_ns: Option<u64>, deltas: usize) {
     // makespan, writing one incremental document per step: `path.d1` is
     // chained to the full snapshot, `path.dK` to `path.d(K-1)`.
     let mut soc = restore_soc(&w, &spec, &snap).expect("restore for delta chain");
-    let mut parent_hash = snap.state_hash();
+    let mut chain = SnapshotChain::new(snap, deltas);
     let span = makespan.as_fs().saturating_sub(at.as_fs());
     for k in 1..=deltas {
         let t = at.as_fs() + span * k as u64 / deltas as u64;
         soc.sim
             .run_until(SimTime::ZERO + SimDuration::fs(t))
             .expect("advance to delta point");
-        let delta = soc
-            .sim
-            .snapshot_delta_from(parent_hash)
-            .expect("capture delta");
-        parent_hash = delta.child_hash();
+        let parent = chain.tip_hash();
+        let (doc, _) = chain.checkpoint(&mut soc.sim).expect("capture delta");
         let dp = format!("{path}.d{k}");
-        let dtext = delta.to_text();
+        let dtext = doc.to_text();
         std::fs::write(&dp, &dtext).expect("write delta file");
         eprintln!(
-            "wrote {dp} ({} bytes, delta at {} ns, parent {:016x} -> child {:016x})",
+            "wrote {dp} ({} bytes, delta at {} ns, parent {parent:016x} -> child {:016x})",
             dtext.len(),
             t / 1_000_000,
-            delta.parent_hash(),
-            delta.child_hash()
+            doc.tip_hash()
         );
     }
 }
 
 fn resume_snapshot(path: &str) {
-    use drcf_kernel::prelude::{Snapshot, SnapshotDelta};
+    use drcf_kernel::prelude::{ChainDoc, SimError, Snapshot, SnapshotChain, SnapshotDelta};
     use drcf_soc::prelude::*;
+    let fail = |what: &str, e: SimError| -> ! {
+        eprintln!("error[{}]: {what}: {e}", e.kind.label());
+        std::process::exit(2);
+    };
     let (w, spec) = snapshot_scenario();
     let text = std::fs::read_to_string(path).expect("read snapshot file");
     let snap = Snapshot::parse(&text).expect("snapshot must parse");
-    let mut soc = restore_soc(&w, &spec, &snap).expect("restore snapshot");
-    // Apply any chained delta documents sitting next to the snapshot
-    // (`path.d1`, `path.d2`, ...) in order. A delta whose parent hash does
-    // not match the state we are standing at is a typed `snapshot-chain`
+    // Chain any delta documents sitting next to the snapshot (`path.d1`,
+    // `path.d2`, ...) in order; the rebase period only governs capture. A
+    // delta that does not chain onto the previous link, or a chain that
+    // does not restore to its declared tip, is a typed `snapshot-chain`
     // error, reported as such instead of a panic.
+    let mut chain = SnapshotChain::new(snap, 0);
     let mut k = 1usize;
     loop {
         let dp = format!("{path}.d{k}");
@@ -164,18 +165,18 @@ fn resume_snapshot(path: &str) {
             break;
         };
         let delta = SnapshotDelta::parse(&dtext).expect("delta must parse");
-        if let Err(e) = soc.sim.restore_delta(&delta) {
-            eprintln!("error[{}]: cannot apply {dp}: {e}", e.kind.label());
-            std::process::exit(2);
+        let (parent, child) = (delta.parent_hash(), delta.child_hash());
+        if let Err(e) = chain.push(ChainDoc::Delta(delta)) {
+            fail(&format!("cannot chain {dp}"), e);
         }
-        eprintln!(
-            "applied {dp} (parent {:016x} -> child {:016x})",
-            delta.parent_hash(),
-            delta.child_hash()
-        );
+        eprintln!("chained {dp} (parent {parent:016x} -> child {child:016x})");
         k += 1;
     }
     let applied = k - 1;
+    let mut soc = match restore_soc_chain(&w, &spec, &chain) {
+        Ok((soc, _)) => soc,
+        Err(e) => fail(&format!("cannot restore the chain from {path}"), e),
+    };
     let m = run_soc_mut(&mut soc);
     assert!(m.ok, "resumed run failed: {:?}", m.error);
     // The resumed run must land exactly where a straight run does.

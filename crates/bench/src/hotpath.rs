@@ -529,13 +529,19 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmSweepStats) {
     live.sim
         .run_until(drcf_kernel::prelude::SimTime::ZERO + at_nine)
         .expect("advance to 9/10");
-    let delta = live.sim.snapshot_delta(&snap_half).expect("capture delta");
+    let (delta, _) = live
+        .sim
+        .snapshot_delta(snap_half.state_hash())
+        .expect("capture delta");
     let km = live.sim.metrics();
     let cold_nine = snapshot_prefix(&w, &spec, at_nine).expect("cold 9/10 capture");
-    let mut patched = restore_soc(&w, &spec, &snap_half).expect("full restore of fork");
-    patched.sim.restore_delta(&delta).expect("apply delta");
-    let delta_identical = patched.sim.current_doc_hash() == Some(delta.child_hash())
-        && delta.child_hash() == cold_nine.state_hash();
+    let full_bytes = snap_half.byte_len();
+    let mut chain = SnapshotChain::new(snap_half, 1);
+    chain
+        .push(ChainDoc::Delta(delta))
+        .expect("the delta chains onto the fork");
+    let (mut patched, tip) = restore_soc_chain(&w, &spec, &chain).expect("restore the delta chain");
+    let delta_identical = tip.is_some_and(|t| t.state_hash() == cold_nine.state_hash());
     // The patched simulator must also *run* like the straight one.
     let m_tail = run_soc_mut(&mut patched);
     assert!(m_tail.ok, "delta-patched tail failed: {:?}", m_tail.error);
@@ -552,7 +558,7 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmSweepStats) {
         speedup: cold_secs / warm_secs,
         speedup_half: cold_secs / warm_secs_half,
         delta_identical,
-        full_bytes: snap_half.byte_len() as u64,
+        full_bytes,
         delta_bytes: km.snapshot_delta_bytes,
         dirty_components: km.snapshot_dirty_components,
     };

@@ -736,6 +736,64 @@ fn fifo_restore(idx: usize, any: &mut dyn AnyFifoSlot, state: &Json) -> SimResul
     Err(snap::err(format!("unknown fifo type tag {tag:?}")))
 }
 
+/// Which entries `Simulator::apply_doc` applies from a document.
+#[derive(Clone, Copy)]
+enum Apply {
+    /// A full document into a freshly built simulator: every entry, through
+    /// `Component::restore`.
+    Fresh,
+    /// A full document captured on this live simulator at generation
+    /// `since`: the entries touched after it, through `restore_live`.
+    Rewind { since: u64 },
+    /// A delta document onto the live state it was cut from: its
+    /// index-tagged entries, through `restore_live`.
+    Delta,
+}
+
+/// Visit the entries of roster `key` in document `j` as `(slot, entry)`. A
+/// full document lists every slot in order and must match the roster's
+/// `len`; a delta tags each entry it carries with its slot index.
+fn for_entries(
+    j: &Json,
+    key: &str,
+    len: usize,
+    delta: bool,
+    mut visit: impl FnMut(usize, &Json) -> SimResult<()>,
+) -> SimResult<()> {
+    let entries = snap::arr_field(j, key)?;
+    if delta {
+        for ej in entries {
+            let i = snap::usize_field(ej, "i")?;
+            if i >= len {
+                return Err(snap::err(format!("delta {key} index {i} out of range")));
+            }
+            visit(i, snap::field(ej, "d")?)?;
+        }
+        return Ok(());
+    }
+    if entries.len() != len {
+        return Err(snap::err(format!(
+            "snapshot has {} {key}, simulator has {len}",
+            entries.len()
+        )));
+    }
+    entries
+        .iter()
+        .enumerate()
+        .try_for_each(|(i, e)| visit(i, e))
+}
+
+/// Check that document entry `e` names roster slot `i`, which is `live`.
+fn check_name(what: &str, i: usize, live: &str, e: &Json) -> SimResult<()> {
+    let name = snap::str_field(e, "name")?;
+    if name == live {
+        return Ok(());
+    }
+    Err(snap::err(format!(
+        "{what} {i} name mismatch: simulator has {live:?}, snapshot has {name:?}"
+    )))
+}
+
 fn edge_str(e: Edge) -> &'static str {
     match e {
         Edge::Pos => "pos",
@@ -1127,7 +1185,7 @@ const CAPTURED_CAP: usize = 64;
 
 /// One remembered capture point: the live state equalled the document with
 /// this hash at this generation, with the recorder and tracer at these
-/// mutation epochs. The epochs let `snapshot_delta_from` skip the heavy
+/// mutation epochs. The epochs let `snapshot_delta` skip the heavy
 /// recorder/tracer globals when they have not changed since the parent
 /// capture (the dominant payload of deltas over traced runs).
 #[derive(Debug, Clone, Copy)]
@@ -1823,73 +1881,7 @@ impl Simulator {
                 )))
             }
         }
-
-        let components = snap::arr_field(j, "components")?;
-        if components.len() != self.comps.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} components, simulator has {}",
-                components.len(),
-                self.comps.len()
-            )));
-        }
-        for (slot, cj) in self.comps.iter_mut().zip(components) {
-            let name = snap::str_field(cj, "name")?;
-            if name != slot.name {
-                return Err(snap::err(format!(
-                    "component name mismatch: simulator has {:?}, snapshot has {name:?}",
-                    slot.name
-                )));
-            }
-            let comp = slot
-                .comp
-                .as_mut()
-                .ok_or_else(|| snap::err(format!("component {name:?} is mid-dispatch")))?;
-            comp.restore(snap::field(cj, "state")?)
-                .map_err(|e| e.in_component(name))?;
-        }
-
-        let signals = snap::arr_field(j, "signals")?;
-        if signals.len() != self.st.signals.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} signals, simulator has {}",
-                signals.len(),
-                self.st.signals.len()
-            )));
-        }
-        for (i, sj) in signals.iter().enumerate() {
-            let name = snap::str_field(sj, "name")?;
-            if name != self.st.signals[i].name() {
-                return Err(snap::err(format!(
-                    "signal {i} name mismatch: simulator has {:?}, snapshot has {name:?}",
-                    self.st.signals[i].name()
-                )));
-            }
-            signal_restore(i, self.st.signals[i].as_mut(), sj)?;
-        }
-
-        let fifos = snap::arr_field(j, "fifos")?;
-        if fifos.len() != self.st.fifos.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} fifos, simulator has {}",
-                fifos.len(),
-                self.st.fifos.len()
-            )));
-        }
-        for (i, fj) in fifos.iter().enumerate() {
-            let name = snap::str_field(fj, "name")?;
-            if name != self.st.fifos[i].name() {
-                return Err(snap::err(format!(
-                    "fifo {i} name mismatch: simulator has {:?}, snapshot has {name:?}",
-                    self.st.fifos[i].name()
-                )));
-            }
-            fifo_restore(i, self.st.fifos[i].as_mut(), fj)?;
-        }
-
-        self.restore_clocks_from(j)?;
-        self.restore_queue_from(j)?;
-        self.restore_globals_from(j)?;
-
+        self.apply_doc(j, Apply::Fresh)?;
         // Start must never re-fire: the snapshot already contains every
         // subscription and timer Start handlers created.
         self.started = true;
@@ -1897,25 +1889,65 @@ impl Simulator {
         Ok(())
     }
 
-    /// Restore the clock array from a full or delta document (clocks are
-    /// always carried in full: their state is a handful of scalars).
-    fn restore_clocks_from(&mut self, j: &Json) -> SimResult<()> {
-        let clocks = snap::arr_field(j, "clocks")?;
-        if clocks.len() != self.st.clocks.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} clocks, simulator has {}",
-                clocks.len(),
-                self.st.clocks.len()
-            )));
-        }
-        for (c, cj) in self.st.clocks.iter_mut().zip(clocks) {
-            let name = snap::str_field(cj, "name")?;
-            if name != c.name {
-                return Err(snap::err(format!(
-                    "clock name mismatch: simulator has {:?}, snapshot has {name:?}",
-                    c.name
-                )));
+    /// The one document-apply walk behind [`Simulator::restore`],
+    /// [`Simulator::rewind`] and [`Simulator::restore_delta`]: components,
+    /// signals and FIFOs as `how` selects them, then the clocks, the timed
+    /// queue and the scalar globals, which every document carries in full.
+    ///
+    /// Every applied slot is stamped with the live generation: it now
+    /// differs from every capture taken before this apply.
+    fn apply_doc(&mut self, j: &Json, how: Apply) -> SimResult<()> {
+        let delta = matches!(how, Apply::Delta);
+        let live = !matches!(how, Apply::Fresh);
+        // A rewind skips slots untouched since its parent capture: they
+        // still equal the document.
+        let wanted = |touched: u64| !matches!(how, Apply::Rewind { since } if touched <= since);
+        let gen = self.st.gen;
+
+        let mut applied: u64 = 0;
+        for_entries(j, "components", self.comps.len(), delta, |i, cj| {
+            let slot = &mut self.comps[i];
+            if !wanted(slot.touched_gen) {
+                return Ok(());
             }
+            check_name("component", i, &slot.name, cj)?;
+            let name = slot.name.as_str();
+            let comp = slot
+                .comp
+                .as_mut()
+                .ok_or_else(|| snap::err(format!("component {name:?} is mid-dispatch")))?;
+            let state = snap::field(cj, "state")?;
+            if live {
+                comp.restore_live(state)
+            } else {
+                comp.restore(state)
+            }
+            .map_err(|e| e.in_component(name))?;
+            slot.touched_gen = gen;
+            applied += 1;
+            Ok(())
+        })?;
+
+        let st = &mut self.st;
+        for_entries(j, "signals", st.signals.len(), delta, |i, sj| {
+            if wanted(st.signal_touched[i]) {
+                check_name("signal", i, st.signals[i].name(), sj)?;
+                signal_restore(i, st.signals[i].as_mut(), sj)?;
+                st.signal_touched[i] = gen;
+            }
+            Ok(())
+        })?;
+        for_entries(j, "fifos", st.fifos.len(), delta, |i, fj| {
+            if wanted(st.fifo_touched[i]) {
+                check_name("fifo", i, st.fifos[i].name(), fj)?;
+                fifo_restore(i, st.fifos[i].as_mut(), fj)?;
+                st.fifo_touched[i] = gen;
+            }
+            Ok(())
+        })?;
+        for_entries(j, "clocks", st.clocks.len(), false, |i, cj| {
+            let c = &mut st.clocks[i];
+            check_name("clock", i, &c.name, cj)?;
             c.started = snap::bool_field(cj, "started")?;
             c.pos_edges = snap::u64_field(cj, "pos_edges")?;
             c.armed = snap::bool_field(cj, "armed")?;
@@ -1924,6 +1956,14 @@ impl Simulator {
             c.next_edge = edge_of(snap::str_field(cj, "next_edge")?)?;
             c.pos_subs = snap::usize_list(cj, "pos_subs")?;
             c.neg_subs = snap::usize_list(cj, "neg_subs")?;
+            Ok(())
+        })?;
+
+        self.restore_queue_from(j)?;
+        self.restore_globals_from(j)?;
+        if live {
+            self.clear_transients();
+            self.st.metrics.snapshot_dirty_components = applied;
         }
         Ok(())
     }
@@ -2059,72 +2099,7 @@ impl Simulator {
                 ),
             ));
         };
-        let j = parent.json();
-
-        let components = snap::arr_field(j, "components")?;
-        if components.len() != self.comps.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} components, simulator has {}",
-                components.len(),
-                self.comps.len()
-            )));
-        }
-        let mut dirty: u64 = 0;
-        for (slot, cj) in self.comps.iter_mut().zip(components) {
-            if slot.touched_gen <= pg {
-                continue; // untouched since the parent capture
-            }
-            let name = snap::str_field(cj, "name")?;
-            if name != slot.name {
-                return Err(snap::err(format!(
-                    "component name mismatch: simulator has {:?}, snapshot has {name:?}",
-                    slot.name
-                )));
-            }
-            let comp = slot
-                .comp
-                .as_mut()
-                .ok_or_else(|| snap::err(format!("component {name:?} is mid-dispatch")))?;
-            comp.restore_live(snap::field(cj, "state")?)
-                .map_err(|e| e.in_component(name))?;
-            dirty += 1;
-        }
-
-        let signals = snap::arr_field(j, "signals")?;
-        if signals.len() != self.st.signals.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} signals, simulator has {}",
-                signals.len(),
-                self.st.signals.len()
-            )));
-        }
-        for (i, sj) in signals.iter().enumerate() {
-            if self.st.signal_touched[i] <= pg {
-                continue;
-            }
-            signal_restore(i, self.st.signals[i].as_mut(), sj)?;
-        }
-
-        let fifos = snap::arr_field(j, "fifos")?;
-        if fifos.len() != self.st.fifos.len() {
-            return Err(snap::err(format!(
-                "snapshot has {} fifos, simulator has {}",
-                fifos.len(),
-                self.st.fifos.len()
-            )));
-        }
-        for (i, fj) in fifos.iter().enumerate() {
-            if self.st.fifo_touched[i] <= pg {
-                continue;
-            }
-            fifo_restore(i, self.st.fifos[i].as_mut(), fj)?;
-        }
-
-        self.restore_clocks_from(j)?;
-        self.restore_queue_from(j)?;
-        self.restore_globals_from(j)?;
-        self.clear_transients();
-        self.st.metrics.snapshot_dirty_components = dirty;
+        self.apply_doc(parent.json(), Apply::Rewind { since: pg })?;
 
         // Captures taken after the parent belong to the branch being
         // abandoned; a future delta against them would silently compare
@@ -2134,33 +2109,18 @@ impl Simulator {
         Ok(())
     }
 
-    /// Capture an incremental snapshot against `parent`: a
-    /// [`SnapshotDelta`] carrying only the components, signals, and FIFOs
-    /// that changed since the parent capture (plus the always-moving queue,
-    /// clocks, and globals), chained to the parent by its state hash.
+    /// Capture an incremental snapshot against the capture `parent_hash`:
+    /// a [`SnapshotDelta`] carrying only the components, signals, and FIFOs
+    /// that changed since that capture (plus the always-moving queue,
+    /// clocks, and globals), chained to it by its state hash, together with
+    /// the full child document the delta was cut from (its `state_hash` is
+    /// the delta's child hash).
     ///
     /// Serialization cost is dominated by the full-document pass (the child
     /// hash *is* the full snapshot hash, so chains validate against
     /// `state_hash` exactly); the win is the document size and, on the
     /// apply side, `restore_delta` patching a live simulator in place.
-    pub fn snapshot_delta(&mut self, parent: &Snapshot) -> SimResult<SnapshotDelta> {
-        self.snapshot_delta_from(parent.state_hash())
-    }
-
-    /// [`Simulator::snapshot_delta`] by parent hash alone — enough to chain
-    /// delta-on-delta without keeping parent documents alive.
-    pub fn snapshot_delta_from(&mut self, parent_hash: u64) -> SimResult<SnapshotDelta> {
-        Ok(self.snapshot_delta_and_full(parent_hash)?.0)
-    }
-
-    /// [`Simulator::snapshot_delta_from`] plus the full child document the
-    /// delta was cut from (its `state_hash` is the delta's child hash), for
-    /// a caller that files the delta and forks from the full state: one
-    /// capture serves both.
-    pub fn snapshot_delta_and_full(
-        &mut self,
-        parent_hash: u64,
-    ) -> SimResult<(SnapshotDelta, Snapshot)> {
+    pub fn snapshot_delta(&mut self, parent_hash: u64) -> SimResult<(SnapshotDelta, Snapshot)> {
         let Some(parent) = self.captured_entry(parent_hash) else {
             return Err(SimError::new(
                 SimErrorKind::SnapshotChain,
@@ -2248,8 +2208,15 @@ impl Simulator {
     /// running since the last capture invalidates that (the state is no
     /// longer provably the parent). A mismatch is a typed
     /// [`SimErrorKind::SnapshotChain`] error naming both hashes, and leaves
-    /// the simulator untouched. After a successful apply, `state_hash`
-    /// equals [`SnapshotDelta::child_hash`].
+    /// the simulator untouched.
+    ///
+    /// After a successful apply the simulator registers the delta's
+    /// *declared* [`SnapshotDelta::child_hash`] as its capture point; the
+    /// body is not re-hashed here. [`SnapshotChain::restore_into`] checks
+    /// the live state against the chain's tip once per chain, so a
+    /// tampered delta body is caught there.
+    ///
+    /// [`SnapshotChain::restore_into`]: crate::snapshot::SnapshotChain::restore_into
     pub fn restore_delta(&mut self, delta: &SnapshotDelta) -> SimResult<()> {
         if !self.started {
             return Err(snap::err(
@@ -2274,58 +2241,7 @@ impl Simulator {
                 ),
             ));
         }
-        let j = delta.json();
-
-        let mut dirty: u64 = 0;
-        for ej in snap::arr_field(j, "components")? {
-            let i = snap::usize_field(ej, "i")?;
-            let cj = snap::field(ej, "d")?;
-            let gen = self.st.gen;
-            let slot = self
-                .comps
-                .get_mut(i)
-                .ok_or_else(|| snap::err(format!("delta component index {i} out of range")))?;
-            let name = snap::str_field(cj, "name")?;
-            if name != slot.name {
-                return Err(snap::err(format!(
-                    "component name mismatch: simulator has {:?}, delta has {name:?}",
-                    slot.name
-                )));
-            }
-            let comp = slot
-                .comp
-                .as_mut()
-                .ok_or_else(|| snap::err(format!("component {name:?} is mid-dispatch")))?;
-            comp.restore_live(snap::field(cj, "state")?)
-                .map_err(|e| e.in_component(name))?;
-            // The patched slot now differs from every pre-delta capture.
-            slot.touched_gen = gen;
-            dirty += 1;
-        }
-
-        for ej in snap::arr_field(j, "signals")? {
-            let i = snap::usize_field(ej, "i")?;
-            if i >= self.st.signals.len() {
-                return Err(snap::err(format!("delta signal index {i} out of range")));
-            }
-            signal_restore(i, self.st.signals[i].as_mut(), snap::field(ej, "d")?)?;
-            self.st.signal_touched[i] = self.st.gen;
-        }
-
-        for ej in snap::arr_field(j, "fifos")? {
-            let i = snap::usize_field(ej, "i")?;
-            if i >= self.st.fifos.len() {
-                return Err(snap::err(format!("delta fifo index {i} out of range")));
-            }
-            fifo_restore(i, self.st.fifos[i].as_mut(), snap::field(ej, "d")?)?;
-            self.st.fifo_touched[i] = self.st.gen;
-        }
-
-        self.restore_clocks_from(j)?;
-        self.restore_queue_from(j)?;
-        self.restore_globals_from(j)?;
-        self.clear_transients();
-        self.st.metrics.snapshot_dirty_components = dirty;
+        self.apply_doc(delta.json(), Apply::Delta)?;
         self.register_capture(delta.child_hash());
         Ok(())
     }

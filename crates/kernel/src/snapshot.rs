@@ -157,8 +157,9 @@ impl Snapshot {
 /// `Simulator::restore_delta`, which patches a *live* simulator standing at
 /// the parent state instead of rebuilding one. The document records both
 /// the parent hash (what the live state must equal before applying) and the
-/// child hash (what `state_hash()` reports after a successful apply), so a
-/// chain of deltas is self-validating end to end.
+/// child hash (what `state_hash()` reports after a faithful apply), so a
+/// chain of deltas validates end to end: [`SnapshotChain::push`] checks the
+/// links, [`SnapshotChain::restore_into`] the state they produce.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
     state: Json,
@@ -310,7 +311,7 @@ impl ChainDoc {
 /// the current tip, or a full rebase when the chain since the last full
 /// document reaches `delta_chain`); `push` validates and appends documents
 /// read back from disk; `restore_into` replays the whole chain into a
-/// freshly built simulator.
+/// freshly built simulator and checks that it lands on the tip.
 #[derive(Debug, Clone)]
 pub struct SnapshotChain {
     docs: Vec<ChainDoc>,
@@ -378,7 +379,7 @@ impl SnapshotChain {
             let full = sim.snapshot()?;
             (ChainDoc::Full(full.clone()), full)
         } else {
-            let (delta, full) = sim.snapshot_delta_and_full(self.tip_hash())?;
+            let (delta, full) = sim.snapshot_delta(self.tip_hash())?;
             (ChainDoc::Delta(delta), full)
         };
         self.docs.push(doc);
@@ -392,7 +393,14 @@ impl SnapshotChain {
     /// recent full document, then apply every delta after it. Rebasing is
     /// what keeps this bounded — at most `delta_chain` deltas ever need
     /// applying.
-    pub fn restore_into(&self, sim: &mut crate::kernel::Simulator) -> SimResult<()> {
+    ///
+    /// `push` checks only a delta's declared hashes, which say nothing
+    /// about its body. So once a delta has been applied, the live state is
+    /// captured and its hash checked against the chain's tip: a tampered
+    /// body is a typed [`SimErrorKind::SnapshotChain`] error, never a wrong
+    /// state. Returns that verified capture of the tip, or `None` when the
+    /// chain is entered at its tip (a full document is its own hash).
+    pub fn restore_into(&self, sim: &mut crate::kernel::Simulator) -> SimResult<Option<Snapshot>> {
         let start = self
             .docs
             .iter()
@@ -401,7 +409,8 @@ impl SnapshotChain {
         if let ChainDoc::Full(base) = &self.docs[start] {
             sim.restore(base)?;
         }
-        for doc in &self.docs[start + 1..] {
+        let deltas = &self.docs[start + 1..];
+        for doc in deltas {
             match doc {
                 ChainDoc::Delta(d) => sim.restore_delta(d)?,
                 ChainDoc::Full(_) => {
@@ -411,7 +420,22 @@ impl SnapshotChain {
                 }
             }
         }
-        Ok(())
+        if deltas.is_empty() {
+            return Ok(None);
+        }
+        let tip = sim.snapshot()?;
+        if tip.state_hash() != self.tip_hash() {
+            return Err(SimError::new(
+                SimErrorKind::SnapshotChain,
+                format!(
+                    "snapshot chain restores to {:016x}, but its tip declares {:016x} \
+                     (a delta body does not match its hashes)",
+                    tip.state_hash(),
+                    self.tip_hash()
+                ),
+            ));
+        }
+        Ok(Some(tip))
     }
 
     /// Append a document read back from storage, validating the chain

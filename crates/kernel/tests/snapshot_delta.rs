@@ -10,8 +10,9 @@
 //!   straight run.
 //! * Delta documents over mostly-idle models are smaller than full
 //!   snapshots, and dirty-component counts reflect only touched components.
-//! * Chain-integrity violations (wrong parent, uncaptured rewind target)
-//!   surface as typed `SimErrorKind::SnapshotChain` errors.
+//! * Chain-integrity violations (wrong parent, uncaptured rewind target,
+//!   a tampered delta body) surface as typed `SimErrorKind::SnapshotChain`
+//!   errors, and malformed documents as typed errors on every apply path.
 
 use drcf_kernel::prelude::*;
 use drcf_kernel::snapshot;
@@ -262,11 +263,11 @@ fn delta_chain_restore_is_bit_identical_to_full_restore() {
     let full1 = w.sim.snapshot().expect("full1");
     w.sim.run_until(at(120)).expect("to t2");
     let full2 = w.sim.snapshot().expect("full2");
-    let delta12 = w.sim.snapshot_delta(&full1).expect("delta1->2");
+    let (delta12, _) = w.sim.snapshot_delta(full1.state_hash()).expect("delta1->2");
     w.sim.run_until(at(200)).expect("to t3");
-    let delta23 = w
+    let (delta23, _) = w
         .sim
-        .snapshot_delta_from(delta12.child_hash())
+        .snapshot_delta(delta12.child_hash())
         .expect("delta2->3");
     let full3 = w.sim.snapshot().expect("full3");
 
@@ -312,7 +313,7 @@ fn delta_documents_shrink_when_components_idle() {
     w.sim.run_until(at(100)).expect("prefix");
     let full = w.sim.snapshot().expect("full");
     w.sim.run_until(at(140)).expect("advance");
-    let delta = w.sim.snapshot_delta(&full).expect("delta");
+    let (delta, _) = w.sim.snapshot_delta(full.state_hash()).expect("delta");
     assert!(
         delta.byte_len() < full.byte_len() / 2,
         "delta ({}) should be far smaller than full ({}) with the sleeper idle",
@@ -340,7 +341,10 @@ fn restore_delta_rejects_wrong_parent() {
     w.sim.run_until(at(120)).expect("t2");
     let full2 = w.sim.snapshot().expect("full2");
     w.sim.run_until(at(200)).expect("t3");
-    let delta = w.sim.snapshot_delta(&full2).expect("delta t2->t3");
+    let (delta, _) = w
+        .sim
+        .snapshot_delta(full2.state_hash())
+        .expect("delta t2->t3");
 
     // A fresh sim restored to t1 is NOT standing at the delta's parent.
     let mut fresh = build_world();
@@ -421,7 +425,10 @@ fn chain_push_rejects_broken_linkage() {
     w.sim.run_until(at(90)).expect("t2");
     let full2 = w.sim.snapshot().expect("full2");
     w.sim.run_until(at(130)).expect("t3");
-    let skip = w.sim.snapshot_delta(&full2).expect("delta skipping a link");
+    let (skip, _) = w
+        .sim
+        .snapshot_delta(full2.state_hash())
+        .expect("delta skipping a link");
     // `skip` chains t2->t3 but the chain tip is the t1 base.
     let err = chain
         .push(ChainDoc::Delta(skip))
@@ -442,7 +449,7 @@ fn unchanged_recorder_and_tracer_are_elided_from_deltas() {
     let full = w.sim.snapshot().expect("full");
     // Nothing ran between the captures, so the recorder/tracer epochs are
     // unchanged and the delta carries markers instead of payloads.
-    let delta = w.sim.snapshot_delta(&full).expect("delta");
+    let (delta, _) = w.sim.snapshot_delta(full.state_hash()).expect("delta");
     assert!(
         w.sim.recorder().emitted() > 0,
         "the prefix must have produced recorder traffic for this test to bite"
@@ -506,7 +513,7 @@ fn elided_globals_apply_bit_identically_across_simulators() {
     w.sim.run_until(at(45)).expect("t1");
     let full1 = w.sim.snapshot().expect("full1");
     w.sim.run_until(at(120)).expect("t2");
-    let delta = w.sim.snapshot_delta(&full1).expect("delta");
+    let (delta, _) = w.sim.snapshot_delta(full1.state_hash()).expect("delta");
     let full2 = w.sim.snapshot().expect("full2");
     assert!(
         snapshot::is_unchanged_mark(snapshot::field(delta.json(), "recorder").expect("recorder")),
@@ -528,6 +535,288 @@ fn elided_globals_apply_bit_identically_across_simulators() {
         w.sim.snapshot().expect("straight tip").state_hash(),
         "resume from a marker delta diverged from the straight run"
     );
+}
+
+/// The value under `key` in object `j`, for tampering with documents.
+fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    match j {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .expect(key),
+        other => panic!("{key}: not an object: {other}"),
+    }
+}
+
+/// The array under `key` in object `j`.
+fn arr_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+    match field_mut(j, key) {
+        Json::Arr(items) => items,
+        other => panic!("{key}: not an array: {other}"),
+    }
+}
+
+/// Full document `full` recast as a delta onto `parent` that carries every
+/// roster entry, each tagged with its slot index.
+fn as_delta(full: &Json, parent: u64) -> SnapshotDelta {
+    let mut d = full.clone();
+    *field_mut(&mut d, "schema") = Json::from(snapshot::DELTA_SCHEMA);
+    for key in ["components", "signals", "fifos"] {
+        for (i, e) in arr_mut(&mut d, key).iter_mut().enumerate() {
+            *e = Json::obj()
+                .with("i", drcf_kernel::json::ju64(i as u64))
+                .with("d", e.clone());
+        }
+    }
+    let d = d
+        .with("parent", drcf_kernel::json::ju64(parent))
+        .with("child", drcf_kernel::json::ju64(full.fnv1a64()));
+    SnapshotDelta::parse(&d.to_string()).expect("delta form parses")
+}
+
+/// A malformed full document, and the message each form of it must be
+/// rejected with: as a full document (`restore`, `rewind`) and recast as a
+/// delta (`restore_delta`), where an extra roster entry is an
+/// out-of-range slot index.
+struct Malformed {
+    what: &'static str,
+    spoil: fn(&mut Json),
+    full_msg: &'static str,
+    delta_msg: &'static str,
+}
+
+fn extra_entry(j: &mut Json, key: &str) {
+    let roster = arr_mut(j, key);
+    roster.push(roster[0].clone());
+}
+
+fn rename_first(j: &mut Json, key: &str) {
+    *field_mut(&mut arr_mut(j, key)[0], "name") = Json::from("impostor");
+}
+
+fn retag_first(j: &mut Json, key: &str) {
+    *field_mut(&mut arr_mut(j, key)[0], "type") = Json::from("u128");
+}
+
+const MALFORMED: &[Malformed] = &[
+    Malformed {
+        what: "component count",
+        spoil: |j| extra_entry(j, "components"),
+        full_msg: "snapshot has 4 components, simulator has 3",
+        delta_msg: "delta components index 3 out of range",
+    },
+    Malformed {
+        what: "signal count",
+        spoil: |j| extra_entry(j, "signals"),
+        full_msg: "snapshot has 2 signals, simulator has 1",
+        delta_msg: "delta signals index 1 out of range",
+    },
+    Malformed {
+        what: "fifo count",
+        spoil: |j| extra_entry(j, "fifos"),
+        full_msg: "snapshot has 2 fifos, simulator has 1",
+        delta_msg: "delta fifos index 1 out of range",
+    },
+    Malformed {
+        what: "clock count",
+        spoil: |j| extra_entry(j, "clocks"),
+        full_msg: "snapshot has 2 clocks, simulator has 1",
+        delta_msg: "snapshot has 2 clocks, simulator has 1",
+    },
+    Malformed {
+        what: "component name",
+        spoil: |j| rename_first(j, "components"),
+        full_msg: "component 0 name mismatch",
+        delta_msg: "component 0 name mismatch",
+    },
+    Malformed {
+        what: "signal name",
+        spoil: |j| rename_first(j, "signals"),
+        full_msg: "signal 0 name mismatch",
+        delta_msg: "signal 0 name mismatch",
+    },
+    Malformed {
+        what: "fifo name",
+        spoil: |j| rename_first(j, "fifos"),
+        full_msg: "fifo 0 name mismatch",
+        delta_msg: "fifo 0 name mismatch",
+    },
+    Malformed {
+        what: "clock name",
+        spoil: |j| rename_first(j, "clocks"),
+        full_msg: "clock 0 name mismatch",
+        delta_msg: "clock 0 name mismatch",
+    },
+    Malformed {
+        what: "signal type tag",
+        spoil: |j| retag_first(j, "signals"),
+        full_msg: "unknown signal type tag",
+        delta_msg: "unknown signal type tag",
+    },
+    Malformed {
+        what: "fifo type tag",
+        spoil: |j| retag_first(j, "fifos"),
+        full_msg: "unknown fifo type tag",
+        delta_msg: "unknown fifo type tag",
+    },
+];
+
+/// Every malformed document is a typed error through each of `restore`,
+/// `rewind` and `restore_delta`, never a panic or a silent apply.
+#[test]
+fn malformed_documents_are_typed_errors_on_every_apply_path() {
+    let expect_err = |r: SimResult<()>, path: &str, case: &Malformed, msg: &str| {
+        let e = r.expect_err(&format!("{path} must reject the {} case", case.what));
+        assert_eq!(
+            e.kind,
+            SimErrorKind::Validation,
+            "{path}, {}: {e}",
+            case.what
+        );
+        assert!(e.message.contains(msg), "{path}, {}: {e}", case.what);
+    };
+    for case in MALFORMED {
+        let mut w = build_world();
+        w.sim.run_until(at(45)).expect("prefix");
+        let base = w.sim.snapshot().expect("base");
+        let mut bad = base.json().clone();
+        (case.spoil)(&mut bad);
+        let bad = Snapshot::parse(&bad.to_string()).expect("malformed document parses");
+
+        expect_err(
+            build_world().sim.restore(&bad),
+            "restore",
+            case,
+            case.full_msg,
+        );
+
+        // restore_delta, onto the live state the recast delta names.
+        let mut live = build_world();
+        live.sim.run_until(at(45)).expect("prefix");
+        live.sim.snapshot().expect("stand at the base");
+        let delta = as_delta(bad.json(), base.state_hash());
+        expect_err(
+            live.sim.restore_delta(&delta),
+            "restore_delta",
+            case,
+            case.delta_msg,
+        );
+
+        // rewind only takes a document this simulator remembers capturing.
+        // A delta's declared child hash is registered unchecked, so a no-op
+        // delta declaring the malformed document's hash makes `w` remember
+        // it; running on then dirties every slot the cases touch.
+        let (noop, _) = w
+            .sim
+            .snapshot_delta(base.state_hash())
+            .expect("no-op delta");
+        let mut noop = noop.json().clone();
+        *field_mut(&mut noop, "child") = drcf_kernel::json::ju64(bad.state_hash());
+        let noop = SnapshotDelta::parse(&noop.to_string()).expect("no-op delta parses");
+        w.sim.restore_delta(&noop).expect("apply the no-op delta");
+        w.sim.run_until(at(90)).expect("dirty the live state");
+        expect_err(w.sim.rewind(&bad), "rewind", case, case.full_msg);
+    }
+}
+
+/// Restore into dirty state: a simulator that ran past the fork and is
+/// rewound, and one that applies a delta chain on top of a restored base
+/// after running it elsewhere, both land on the straight run's hash at the
+/// fork and stay on it one slice later.
+#[test]
+fn restore_into_dirty_state_matches_straight_run() {
+    let mut straight = build_world();
+    straight
+        .sim
+        .run_until(at(120))
+        .expect("straight to the fork");
+    let want_fork = straight.sim.state_hash().expect("fork hash");
+    straight.sim.run_until(at(200)).expect("straight slice");
+    let want_next = straight.sim.state_hash().expect("next hash");
+
+    let mut w = build_world();
+    w.sim.run_until(at(45)).expect("base point");
+    let base = w.sim.snapshot().expect("base");
+    let mut chain = SnapshotChain::new(base.clone(), 4);
+    w.sim.run_until(at(80)).expect("first link");
+    chain.checkpoint(&mut w.sim).expect("delta to 80ns");
+    w.sim.run_until(at(120)).expect("fork");
+    let (_, fork) = chain.checkpoint(&mut w.sim).expect("delta to the fork");
+
+    // Run past the fork, then rewind the dirtied simulator onto it.
+    w.sim.run_until(at(300)).expect("overshoot");
+    w.sim.rewind(&fork).expect("rewind to the fork");
+    assert_eq!(w.sim.state_hash().expect("rewound"), want_fork);
+    w.sim.run_until(at(200)).expect("slice after rewind");
+    assert_eq!(w.sim.state_hash().expect("rewound slice"), want_next);
+
+    // Restore the base, run it elsewhere, rewind it, then apply the chain.
+    let mut c = build_world();
+    c.sim.restore(&base).expect("restore base");
+    c.sim.run_until(at(300)).expect("run elsewhere");
+    c.sim.rewind(&base).expect("back to the base");
+    for doc in &chain.docs()[1..] {
+        let ChainDoc::Delta(d) = doc else {
+            panic!("the chain has no rebase at period 4")
+        };
+        c.sim.restore_delta(d).expect("apply a link");
+    }
+    assert_eq!(c.sim.state_hash().expect("chain tip"), want_fork);
+    c.sim.run_until(at(200)).expect("slice after the chain");
+    assert_eq!(c.sim.state_hash().expect("chain slice"), want_next);
+}
+
+/// A delta whose body was changed after capture keeps its declared hashes,
+/// so `push` accepts it; `restore_into` must catch it by the tip's hash.
+#[test]
+fn chain_restore_rejects_tampered_delta_body() {
+    let mut w = build_world();
+    w.sim.run_until(at(45)).expect("base point");
+    let base = w.sim.snapshot().expect("base");
+    let mut chain = SnapshotChain::new(base.clone(), 4);
+    for t in [90, 130] {
+        w.sim.run_until(at(t)).expect("advance");
+        chain.checkpoint(&mut w.sim).expect("checkpoint");
+    }
+
+    let (verified, tip) = {
+        let mut fresh = build_world();
+        let tip = chain.restore_into(&mut fresh.sim).expect("pristine chain");
+        (
+            tip.expect("a verified capture after deltas"),
+            chain.tip_hash(),
+        )
+    };
+    assert_eq!(verified.state_hash(), tip);
+
+    let ChainDoc::Delta(last) = &chain.docs()[2] else {
+        panic!("the tip link is a delta")
+    };
+    let mut body = last.json().clone();
+    let pulse = arr_mut(&mut body, "components")
+        .iter_mut()
+        .map(|e| field_mut(e, "d"))
+        .find(|d| d.get("name").and_then(Json::as_str) == Some("pulse"))
+        .expect("pulse ran, so the delta carries it");
+    let edges = field_mut(field_mut(pulse, "state"), "edges");
+    *edges = drcf_kernel::json::ju64(drcf_kernel::json::ju64_of(edges).expect("edges") + 1);
+    let tampered = SnapshotDelta::parse(&body.to_string()).expect("tampered delta parses");
+    assert_eq!(
+        tampered.child_hash(),
+        tip,
+        "the header still declares the tip"
+    );
+
+    let mut bad = SnapshotChain::new(base, 4);
+    bad.push(chain.docs()[1].clone()).expect("first link");
+    bad.push(ChainDoc::Delta(tampered))
+        .expect("push checks the header only");
+    let err = bad
+        .restore_into(&mut build_world().sim)
+        .expect_err("a tampered body must not restore");
+    assert_eq!(err.kind, SimErrorKind::SnapshotChain, "{err}");
+    assert!(err.message.contains("tip declares"), "{err}");
 }
 
 proptest! {

@@ -111,11 +111,13 @@ fn prefix_snapshot(
             ChainDoc::Full(_) => return Err(mislabeled(link)),
         }
     }
-    let mut soc = restore_soc_chain(w, spec, &chain)?;
+    let (mut soc, tip) = restore_soc_chain(w, spec, &chain)?;
     let tip_ns = meta.links[usable - 1].time_ns;
     if tip_ns == fork_ns {
-        // Standing exactly on the tip: materialize the full document.
-        return soc.sim.snapshot();
+        // Standing exactly on the tip: the fork document is the chain
+        // restore's verified capture, or a fresh one when the chain was
+        // entered at a full tip link.
+        return tip.map_or_else(|| soc.sim.snapshot(), Ok);
     }
     // Extend: run the gap and, when the fork lies beyond the whole stored
     // chain, file the next checkpoint (a delta off the tip, or a full

@@ -173,3 +173,45 @@ fn wrong_schema_meta_is_typed() {
     let e = store.meta(key).expect_err("wrong schema must be typed");
     assert_eq!(e.kind, SimErrorKind::SnapshotChain, "{e}");
 }
+
+#[test]
+fn flipped_delta_body_is_recovered() {
+    // A full link @2us and a delta @4us. A digit flipped in the delta's
+    // body leaves its declared parent and child hashes intact, so the link
+    // loads cleanly and only the chain restore's tip check can catch it.
+    let scratch = Scratch::new("delta-body");
+    let store = scratch.store();
+    let early = SweepRequest::small(2_000, vec![200, 600]);
+    let req = SweepRequest::small(4_000, vec![200, 600]);
+    process_sweep(&store, &early).expect("seed early fork");
+    process_sweep(&store, &req).expect("seed late fork");
+    let key = req.key();
+    let meta = store.meta(key).expect("meta").expect("entry");
+    assert!(!meta.links[1].full, "second link is a delta");
+
+    // Flip the last digit of the first pending event's time.
+    let path = scratch.entry(key).join(&meta.links[1].file);
+    let mut text = std::fs::read_to_string(&path).expect("read delta link");
+    let queue = text.find("\"queue\"").expect("a queue");
+    let t = queue + text[queue..].find("\"t\": ").expect("a pending event") + 5;
+    let end = t + text[t..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("the time ends");
+    let flipped = if &text[end - 1..end] == "9" { "8" } else { "9" };
+    text.replace_range(end - 1..end, flipped);
+    std::fs::write(&path, text).expect("write flipped link");
+    store
+        .load_link(key, &meta.links[1])
+        .expect("the header is intact, so the link loads");
+
+    let _ = std::fs::remove_file(
+        scratch
+            .entry(key)
+            .join(format!("records-{}.jsonl", req.fork_ns)),
+    );
+    let served = process_sweep(&store, &req).expect("repair sweep");
+    assert_eq!(served.simulated, 2, "the damaged entry is re-simulated");
+    let fresh = Scratch::new("delta-body-fresh");
+    let expect = process_sweep(&fresh.store(), &req).expect("reference sweep");
+    assert_eq!(served.records, expect.records, "never a wrong answer");
+}

@@ -517,12 +517,13 @@ pub fn restore_soc(
 
 /// [`restore_soc`] for a checkpoint chain: rebuild the SoC, check it fits
 /// the chain's base document, and replay the chain into it
-/// ([`SnapshotChain::restore_into`]).
+/// ([`SnapshotChain::restore_into`], whose verified capture of the chain's
+/// tip is returned alongside).
 pub fn restore_soc_chain(
     workload: &Workload,
     spec: &SocSpec,
     chain: &SnapshotChain,
-) -> SimResult<BuiltSoc> {
+) -> SimResult<(BuiltSoc, Option<Snapshot>)> {
     let Some(ChainDoc::Full(base)) = chain.docs().first() else {
         return Err(SimError::new(
             SimErrorKind::SnapshotChain,
@@ -530,8 +531,8 @@ pub fn restore_soc_chain(
         ));
     };
     let mut soc = build_fitting(workload, spec, base)?;
-    chain.restore_into(&mut soc.sim)?;
-    Ok(soc)
+    let tip = chain.restore_into(&mut soc.sim)?;
+    Ok((soc, tip))
 }
 
 /// Build the SoC and check its roster against `snapshot` before any state

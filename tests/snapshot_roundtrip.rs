@@ -156,18 +156,21 @@ fn assert_delta_chain(w: &Workload, spec: &SocSpec, cuts: &[SimDuration]) {
     // One live timeline: full capture at the first cut, deltas after it.
     let base = snapshot_prefix(w, spec, cuts[0]).expect("capture base");
     let mut live = restore_soc(w, spec, &base).expect("restore live timeline");
-    let mut deltas = Vec::new();
     let mut parent = base.state_hash();
+    let mut chain = SnapshotChain::new(base, cuts.len());
     for &at in &cuts[1..] {
         live.sim
             .run_until(SimTime::ZERO + at)
             .expect("advance live timeline");
-        let d = live.sim.snapshot_delta_from(parent).expect("capture delta");
+        let (d, _) = live.sim.snapshot_delta(parent).expect("capture delta");
         assert_eq!(d.parent_hash(), parent, "delta chains to its parent");
         parent = d.child_hash();
         // The delta document must survive the text round trip, like full
         // snapshots do.
-        deltas.push(SnapshotDelta::parse(&d.to_text()).expect("delta text parses"));
+        let d = SnapshotDelta::parse(&d.to_text()).expect("delta text parses");
+        chain
+            .push(ChainDoc::Delta(d))
+            .expect("delta chains onto the tip");
     }
     // The chain tip must be the same state an unsnapshotted run paused at
     // the last cut captures.
@@ -178,10 +181,12 @@ fn assert_delta_chain(w: &Workload, spec: &SocSpec, cuts: &[SimDuration]) {
         "delta-chain tip diverged from the never-snapshotted run"
     );
     // Fresh system: full restore of the base, then patch delta by delta.
-    let mut patched = restore_soc(w, spec, &base).expect("full restore of base");
-    for d in &deltas {
-        patched.sim.restore_delta(d).expect("apply delta");
-    }
+    let (mut patched, tip) = restore_soc_chain(w, spec, &chain).expect("restore the chain");
+    assert_eq!(
+        tip.map(|t| t.state_hash()),
+        Some(parent),
+        "verified chain tip"
+    );
     assert_eq!(
         patched.sim.current_doc_hash(),
         Some(parent),
