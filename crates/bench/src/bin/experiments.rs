@@ -12,15 +12,18 @@
 //!
 //! `--snapshot-out <path> [--at-ns N] [--deltas K]` runs the canonical
 //! wireless-receiver DRCF scenario up to `N` ns (default: half its
-//! makespan) and writes the deterministic snapshot document there. With
-//! `--deltas K` it then continues the same timeline in `K` equal steps
-//! toward the makespan, writing one incremental `drcf-snapshot-delta-v1`
-//! document per step as `<path>.d1 … <path>.dK`, each chained to its
-//! predecessor by parent hash. `--resume-from <path>` restores the
+//! makespan) and writes the deterministic `drcf-snapshot-v2` document
+//! there. With `--deltas K` it then continues the same timeline in `K`
+//! equal steps toward the makespan, writing one incremental
+//! `drcf-snapshot-delta-v2` document per step as `<path>.d1 … <path>.dK`,
+//! each chained to its predecessor by parent hash. `--resume-from <path>` restores the
 //! snapshot into a freshly built system, applies any `<path>.dN` chain in
 //! order (a parent-hash mismatch is reported as a typed `snapshot-chain`
 //! error, exit code 2), runs to completion, and cross-checks the resumed
-//! metrics against a straight run before printing them.
+//! metrics and final state hash against a straight run before printing
+//! them. A document that does not parse (another schema version included)
+//! or a resumed run that diverges is a typed `error[...]` line, exit
+//! code 2.
 //!
 //! `--shards N` runs the multi-fabric `sharded_soc` bench ring with N
 //! worker shards against the single-threaded oracle, verifies the reports
@@ -143,7 +146,9 @@ fn write_snapshot(path: &str, at_ns: Option<u64>, deltas: usize) {
 }
 
 fn resume_snapshot(path: &str) {
-    use drcf_kernel::prelude::{ChainDoc, SimError, Snapshot, SnapshotChain, SnapshotDelta};
+    use drcf_kernel::prelude::{
+        ChainDoc, SimError, SimErrorKind, Snapshot, SnapshotChain, SnapshotDelta,
+    };
     use drcf_soc::prelude::*;
     let fail = |what: &str, e: SimError| -> ! {
         eprintln!("error[{}]: {what}: {e}", e.kind.label());
@@ -151,7 +156,7 @@ fn resume_snapshot(path: &str) {
     };
     let (w, spec) = snapshot_scenario();
     let text = std::fs::read_to_string(path).expect("read snapshot file");
-    let snap = Snapshot::parse(&text).expect("snapshot must parse");
+    let snap = Snapshot::parse(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}"), e));
     // Chain any delta documents sitting next to the snapshot (`path.d1`,
     // `path.d2`, ...) in order; the rebase period only governs capture. A
     // delta that does not chain onto the previous link, or a chain that
@@ -164,7 +169,8 @@ fn resume_snapshot(path: &str) {
         let Ok(dtext) = std::fs::read_to_string(&dp) else {
             break;
         };
-        let delta = SnapshotDelta::parse(&dtext).expect("delta must parse");
+        let delta =
+            SnapshotDelta::parse(&dtext).unwrap_or_else(|e| fail(&format!("cannot parse {dp}"), e));
         let (parent, child) = (delta.parent_hash(), delta.child_hash());
         if let Err(e) = chain.push(ChainDoc::Delta(delta)) {
             fail(&format!("cannot chain {dp}"), e);
@@ -177,19 +183,42 @@ fn resume_snapshot(path: &str) {
         Ok((soc, _)) => soc,
         Err(e) => fail(&format!("cannot restore the chain from {path}"), e),
     };
+    // The resumed run must land exactly where a straight run does: the
+    // same metrics and the same final state. A lone full snapshot carries
+    // no hash to check it against, so this comparison is what catches a
+    // document edited after it was written.
     let m = run_soc_mut(&mut soc);
-    assert!(m.ok, "resumed run failed: {:?}", m.error);
-    // The resumed run must land exactly where a straight run does.
-    let (straight, _) = run_soc(build_soc(&w, &spec).expect("build straight run"));
-    assert_eq!(
-        m.makespan, straight.makespan,
-        "resumed run diverged from the straight run"
+    let (straight, mut straight_soc) = run_soc(build_soc(&w, &spec).expect("build straight run"));
+    let diverged = |what: String| -> ! {
+        fail(
+            &format!("resuming from {path}"),
+            SimError::new(
+                SimErrorKind::Validation,
+                format!("the resumed run diverged from the straight run: {what}"),
+            ),
+        )
+    };
+    if m != straight {
+        diverged(format!("metrics {m:?} vs {straight:?}"));
+    }
+    let hash = |soc: &mut BuiltSoc, which: &str| {
+        soc.sim
+            .state_hash()
+            .unwrap_or_else(|e| fail(&format!("hashing the {which} run's final state"), e))
+    };
+    let (resumed_hash, straight_hash) = (
+        hash(&mut soc, "resumed"),
+        hash(&mut straight_soc, "straight"),
     );
-    assert_eq!(m.bus_words, straight.bus_words, "bus traffic diverged");
-    assert_eq!(m.switches, straight.switches, "context switches diverged");
+    if resumed_hash != straight_hash {
+        diverged(format!(
+            "final state hash {resumed_hash:016x} vs {straight_hash:016x}"
+        ));
+    }
     println!(
         "resumed from {path} (+{applied} delta{}): makespan {} ns, {} bus words, {} context \
-         switches (verified bit-identical to a straight run)",
+         switches (metrics and final state hash {resumed_hash:016x} verified bit-identical to \
+         a straight run)",
         if applied == 1 { "" } else { "s" },
         m.makespan.as_fs() / 1_000_000,
         m.bus_words,

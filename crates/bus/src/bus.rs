@@ -143,7 +143,7 @@ impl SlaveTiming {
 /// The four per-burst phase boundaries of one train burst: request granted
 /// at `grant`, slave access delivered at `access`, slave reply back at
 /// `reply`, response delivered to the master at `end` (== next grant).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BurstSched {
     grant: SimTime,
     access: SimTime,
@@ -164,6 +164,13 @@ struct TrainRun {
     bursts: Vec<TrainBurst>,
     sched: Vec<BurstSched>,
     timer: TimerHandle,
+}
+
+impl TrainRun {
+    /// When the window closes: the last burst's response end.
+    fn end(&self) -> SimTime {
+        self.sched.last().map_or(self.started, |s| s.end)
+    }
 }
 
 enum Pending {
@@ -961,8 +968,12 @@ impl Bus {
         Ok(())
     }
 
+    /// The active train as its offer: who offered which bursts, when,
+    /// against which slave occupancy, and where the window ends. The
+    /// per-burst schedule is not written; it is a function of these fields
+    /// and the bus's static timing, and `restore_train` recomputes it.
     fn train_json(&self) -> Json {
-        use crate::snapshot::{burst_json, time_json};
+        use crate::snapshot::{burst_list_json, time_json};
         match &self.train {
             None => Json::Null,
             Some(t) => Json::obj()
@@ -972,71 +983,60 @@ impl Bus {
                 .with("slave", ju64(t.slave as u64))
                 .with("started", time_json(t.started))
                 .with("slave_busy_at_start", time_json(t.slave_busy_at_start))
-                .with(
-                    "bursts",
-                    Json::Arr(t.bursts.iter().map(burst_json).collect()),
-                )
-                .with(
-                    "sched",
-                    Json::Arr(
-                        t.sched
-                            .iter()
-                            .map(|s| {
-                                Json::Arr(vec![
-                                    time_json(s.grant),
-                                    time_json(s.access),
-                                    time_json(s.reply),
-                                    time_json(s.end),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )
+                .with("bursts", burst_list_json(&t.bursts))
+                .with("end", time_json(t.end()))
                 .with("timer", ju64(t.timer.raw())),
         }
     }
 
+    /// Restore the active train from its offer, recomputing its schedule
+    /// with the registered timing of its slave. A window end that differs
+    /// from the document's means this bus or slave is timed differently
+    /// from the one that captured it (another clock, another
+    /// [`SlaveTiming`]), and the train cannot resume faithfully.
     fn restore_train(&mut self, state: &Json) -> SimResult<()> {
-        use crate::snapshot::{burst_of, time_of};
+        use crate::snapshot::{burst_list_of, time_of};
         let j = snap::field(state, "train")?;
         if matches!(j, Json::Null) {
             self.train = None;
             return Ok(());
         }
-        let bursts = snap::arr_field(j, "bursts")?
+        let time = |key: &str| -> SimResult<SimTime> {
+            time_of(snap::field(j, key)?).ok_or_else(|| snap::err(format!("bad train {key} time")))
+        };
+        let bursts = burst_list_of(snap::field(j, "bursts")?)
+            .filter(|b| !b.is_empty())
+            .ok_or_else(|| snap::err("malformed train burst list"))?;
+        let slave = snap::usize_field(j, "slave")?;
+        let timing = self
+            .slave_timings
             .iter()
-            .map(burst_of)
-            .collect::<Option<Vec<TrainBurst>>>()
-            .ok_or_else(|| snap::err("malformed train burst"))?;
-        let mut sched = Vec::new();
-        for s in snap::arr_field(j, "sched")? {
-            let q = s
-                .as_arr()
-                .filter(|q| q.len() == 4)
-                .ok_or_else(|| snap::err("malformed train schedule entry"))?;
-            let mut times = [SimTime::ZERO; 4];
-            for (slot, t) in times.iter_mut().zip(q.iter()) {
-                *slot = time_of(t).ok_or_else(|| snap::err("bad time"))?;
-            }
-            sched.push(BurstSched {
-                grant: times[0],
-                access: times[1],
-                reply: times[2],
-                end: times[3],
-            });
-        }
-        self.train = Some(TrainRun {
+            .find(|e| e.0 == slave)
+            .ok_or_else(|| snap::err(format!("train targets unregistered slave timing {slave}")))?
+            .1;
+        let (started, slave_busy_at_start) = (time("started")?, time("slave_busy_at_start")?);
+        let sched = self.train_schedule(timing, started, slave_busy_at_start, &bursts);
+        let train = TrainRun {
             master: snap::usize_field(j, "master")?,
             priority: snap::u64_field(j, "priority")? as u8,
             tag: snap::u64_field(j, "tag")?,
-            slave: snap::usize_field(j, "slave")?,
-            started: time_of(snap::field(j, "started")?).ok_or_else(|| snap::err("bad time"))?,
-            slave_busy_at_start: time_of(snap::field(j, "slave_busy_at_start")?)
-                .ok_or_else(|| snap::err("bad time"))?,
+            slave,
+            started,
+            slave_busy_at_start,
             bursts,
             sched,
             timer: TimerHandle::from_raw(snap::u64_field(j, "timer")?),
-        });
+        };
+        let end = time("end")?;
+        if train.end() != end {
+            return Err(snap::err(format!(
+                "train window recomputes to end at {} fs, the document says {} fs \
+                 (bus or slave timing differs from the capturing system)",
+                train.end().as_fs(),
+                end.as_fs()
+            )));
+        }
+        self.train = Some(train);
         Ok(())
     }
 }
@@ -1793,14 +1793,32 @@ pub(crate) mod tests {
         register_timing: bool,
         rival_delay: Option<SimDuration>,
     ) -> (Simulator, ComponentId, ComponentId) {
-        let mut sim = Simulator::new();
-        let mut map = AddressMap::new();
-        ok(map.add(0x200, 0x21FF, 2));
-        let mem_cfg = MemoryConfig {
+        let timing = register_timing.then(|| train_world_memory().slave_timing());
+        build_timed_train_world(bursts, train, BusConfig::default(), timing, rival_delay)
+    }
+
+    /// The train world's memory: 0x2000 words from 0x200.
+    fn train_world_memory() -> MemoryConfig {
+        MemoryConfig {
             base: 0x200,
             size_words: 0x2000,
             ..MemoryConfig::default()
-        };
+        }
+    }
+
+    /// [`build_train_world_with`] with the bus configuration and the slave
+    /// timing registered with the bus (if any) given.
+    fn build_timed_train_world(
+        bursts: Vec<TrainBurst>,
+        train: bool,
+        bus_cfg: BusConfig,
+        timing: Option<SlaveTiming>,
+        rival_delay: Option<SimDuration>,
+    ) -> (Simulator, ComponentId, ComponentId) {
+        let mut sim = Simulator::new();
+        let mut map = AddressMap::new();
+        ok(map.add(0x200, 0x21FF, 2));
+        let mem_cfg = train_world_memory();
         let master = if train {
             sim.add("train", TrainMaster::new(1, bursts))
         } else {
@@ -1816,9 +1834,9 @@ pub(crate) mod tests {
                 .collect();
             sim.add("train", SeqMaster::new(1, program))
         };
-        let mut bus = Bus::new(BusConfig::default(), map);
-        if register_timing {
-            bus.register_slave_timing(2, mem_cfg.slave_timing());
+        let mut bus = Bus::new(bus_cfg, map);
+        if let Some(timing) = timing {
+            bus.register_slave_timing(2, timing);
         }
         let bus = sim.add("bus", bus);
         let _mem = sim.add("mem", Memory::new(mem_cfg));
@@ -2212,5 +2230,128 @@ pub(crate) mod tests {
             assert_eq!(world(true), per_burst, "case {case}: rival {rival:?}");
         }
         assert!(saw_decoalesce, "some rivals must land mid-window");
+    }
+
+    /// A random train in the train world's memory built from groups of
+    /// contiguous bursts: each group has its own op and burst size, may end
+    /// in a partial burst, and starts either where the previous group ended
+    /// or at an unrelated address. 1–300 bursts in all.
+    fn random_run_train(rng: &mut Lcg) -> Vec<TrainBurst> {
+        let total = rng.range(1, 300) as usize;
+        let mut bursts: Vec<TrainBurst> = Vec::with_capacity(total);
+        while bursts.len() < total {
+            let op = if rng.flip() {
+                BusOp::Write
+            } else {
+                BusOp::Read
+            };
+            let size = rng.range(1, 16) as usize;
+            let len = (rng.range(1, 40) as usize).min(total - bursts.len());
+            let partial = rng.flip().then(|| rng.range(1, size as u64) as usize);
+            let span = (len * size) as u64;
+            let mut addr = match bursts.last() {
+                Some(b) if rng.flip() && b.addr + b.words as u64 + span <= 0x2200 => {
+                    b.addr + b.words as u64
+                }
+                _ => 0x200 + rng.range(0, 0x2000 - span),
+            };
+            for k in 0..len {
+                let words = match partial {
+                    Some(w) if k + 1 == len => w,
+                    _ => size,
+                };
+                bursts.push(TrainBurst { op, addr, words });
+                addr += words as u64;
+            }
+        }
+        bursts
+    }
+
+    /// The active train's bursts and schedule, if a train is in flight.
+    fn live_train(sim: &Simulator, bus: ComponentId) -> Option<(Vec<TrainBurst>, Vec<BurstSched>)> {
+        let t = sim.get::<Bus>(bus).train.as_ref()?;
+        Some((t.bursts.clone(), t.sched.clone()))
+    }
+
+    /// A train document carries the offer, not the schedule: cut anywhere
+    /// inside the window, the restored bus rebuilds exactly the live
+    /// bursts and schedule, and finishes the run as the live one does.
+    #[test]
+    fn restored_train_rebuilds_the_live_bursts_and_schedule() {
+        let mut rng = Lcg(0x7275_6e73);
+        for case in 0..60 {
+            let bursts = random_run_train(&mut rng);
+            let (mut sim, master, bus) = build_train_world_with(bursts.clone(), true, true, None);
+            ok(sim.run_until(SimTime::ZERO + SimDuration::ns(1)));
+            let t = sim.get::<Bus>(bus).train.as_ref().expect("train accepted");
+            let (started, end) = (t.started.as_fs(), t.end().as_fs());
+            ok(sim.run_until(SimTime(rng.range(started + 1, end - 1))));
+            let live = live_train(&sim, bus).expect("cut inside the window");
+            let doc = ok(sim.snapshot());
+            let state = doc.json().to_string();
+            assert!(
+                !state.contains("\"sched\""),
+                "case {case}: no schedule is written"
+            );
+
+            let (mut fresh, master2, bus2) = build_train_world_with(bursts, true, true, None);
+            ok(fresh.restore(&ok(Snapshot::parse(&doc.to_text()))));
+            assert_eq!(
+                live_train(&fresh, bus2).as_ref(),
+                Some(&live),
+                "case {case}"
+            );
+            assert_eq!(ok(fresh.state_hash()), doc.state_hash(), "case {case}");
+            ok(sim.run());
+            ok(fresh.run());
+            let view = |s: &Simulator, m: ComponentId, b: ComponentId| {
+                let m = s.get::<TrainMaster>(m);
+                let b = s.get::<Bus>(b);
+                (
+                    s.now(),
+                    m.finished_at,
+                    b.stats.snapshot_json().to_string(),
+                    b.arrivals,
+                )
+            };
+            assert_eq!(
+                view(&fresh, master2, bus2),
+                view(&sim, master, bus),
+                "case {case}"
+            );
+        }
+    }
+
+    /// A mid-train document restored into a bus clocked differently, or one
+    /// that registered another timing for the slave, recomputes another
+    /// window end and is refused with a typed error.
+    #[test]
+    fn mid_train_document_refuses_other_timing() {
+        let (mut sim, _, bus) = build_train_world(true, true, None);
+        ok(sim.run_until(SimTime::ZERO + SimDuration::ns(100)));
+        assert!(sim.get::<Bus>(bus).train.is_some(), "cut inside the window");
+        let doc = ok(sim.snapshot());
+        let timing = train_world_memory().slave_timing();
+        let slower = SlaveTiming {
+            per_word: timing.per_word + 1,
+            ..timing
+        };
+        let fast_bus = BusConfig {
+            clock_mhz: BusConfig::default().clock_mhz * 2,
+            ..BusConfig::default()
+        };
+        for (what, cfg, timing) in [
+            ("bus clock", fast_bus, timing),
+            ("slave timing", BusConfig::default(), slower),
+        ] {
+            let (mut fresh, _, _) =
+                build_timed_train_world(train_bursts(), true, cfg, Some(timing), None);
+            let e = fresh.restore(&doc).expect_err(what);
+            assert_eq!(e.kind, SimErrorKind::Validation, "{what}: {e}");
+            assert!(e.to_string().contains("window"), "{what}: {e}");
+        }
+        // The same timing restores.
+        let (mut same, _, _) = build_train_world(true, true, None);
+        ok(same.restore(&doc));
     }
 }

@@ -144,14 +144,6 @@ fn page_spans(start: usize, end: usize) -> impl Iterator<Item = (usize, Range<us
     })
 }
 
-/// An `[index, value]` pair of a snapshot's sparse word or page-epoch list.
-fn pair_entry(e: &Json, what: &str) -> SimResult<(u64, u64)> {
-    e.as_arr()
-        .filter(|p| p.len() == 2)
-        .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-        .ok_or_else(|| snap::err(format!("malformed memory {what} entry")))
-}
-
 /// A document's `[page, epoch]` entries, each page checked against a
 /// memory of `pages` pages.
 fn doc_page_epochs(
@@ -159,11 +151,37 @@ fn doc_page_epochs(
     pages: usize,
 ) -> SimResult<impl Iterator<Item = SimResult<(usize, u64)>> + '_> {
     Ok(snap::arr_field(state, "page_epochs")?.iter().map(move |e| {
-        let (p, ep) = pair_entry(e, "page-epoch")?;
+        let (p, ep) = e
+            .as_arr()
+            .filter(|p| p.len() == 2)
+            .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
+            .ok_or_else(|| snap::err("malformed memory page-epoch entry"))?;
         if p < pages as u64 {
             Ok((p as usize, ep))
         } else {
             Err(snap::err(format!("memory page {p} outside capacity")))
+        }
+    }))
+}
+
+/// A document's image runs `[start, [w, ...]]`, each checked to lie inside
+/// a memory of `size` words.
+fn doc_runs(
+    state: &Json,
+    size: usize,
+) -> SimResult<impl Iterator<Item = SimResult<(usize, &[Json])>> + '_> {
+    Ok(snap::arr_field(state, "data")?.iter().map(move |e| {
+        let (start, words) = match e.as_arr() {
+            Some([start, Json::Arr(words)]) => ju64_of(start).map(|s| (s, words.as_slice())),
+            _ => None,
+        }
+        .ok_or_else(|| snap::err("malformed memory word run"))?;
+        match start.checked_add(words.len() as u64) {
+            Some(end) if end <= size as u64 => Ok((start as usize, words)),
+            _ => Err(snap::err(format!(
+                "memory run of {} words at {start} outside capacity",
+                words.len()
+            ))),
         }
     }))
 }
@@ -210,15 +228,6 @@ impl Memory {
     fn index(&self, addr: Addr) -> Option<usize> {
         let i = addr.checked_sub(self.cfg.base)?;
         (i < self.cfg.size_words as u64).then_some(i as usize)
-    }
-
-    /// Image index of the word a document entry names, or a restore error.
-    fn doc_index(&self, i: u64) -> SimResult<usize> {
-        if i < self.cfg.size_words as u64 {
-            Ok(i as usize)
-        } else {
-            Err(snap::err(format!("memory word {i} outside capacity")))
-        }
     }
 
     /// Word `i` of the image (in range).
@@ -310,23 +319,52 @@ impl Memory {
         done.since(now)
     }
 
-    /// Nonzero words as `[index, value]` pairs in index order — memories
-    /// are mostly zeros, so snapshots stay proportional to live data, not
-    /// capacity, and only present pages are walked.
+    /// The image as maximal runs of consecutive nonzero words,
+    /// `[start, [w, ...]]` in index order — memories are mostly zeros, so
+    /// snapshots stay proportional to live data, not capacity, and only
+    /// present pages are walked. A run may cross a page boundary.
     fn sparse_data_json(&self) -> Json {
+        let words = self
+            .pages
+            .iter()
+            .enumerate()
+            .filter_map(|(p, page)| Some((p * PAGE_WORDS, page.as_deref()?)))
+            .flat_map(|(first, page)| {
+                page.iter()
+                    .enumerate()
+                    .filter(|&(_, &w)| w != 0)
+                    .map(move |(o, &w)| (first + o, w))
+            });
+        let mut runs: Vec<(usize, Vec<Json>)> = Vec::new();
+        for (i, w) in words {
+            match runs.last_mut() {
+                Some((start, run)) if *start + run.len() == i => run.push(ju64(w)),
+                _ => runs.push((i, vec![ju64(w)])),
+            }
+        }
         Json::Arr(
-            self.pages
-                .iter()
-                .enumerate()
-                .filter_map(|(p, page)| Some((p * PAGE_WORDS, page.as_deref()?)))
-                .flat_map(|(first, page)| {
-                    page.iter()
-                        .enumerate()
-                        .filter(|&(_, &w)| w != 0)
-                        .map(move |(o, &w)| Json::Arr(vec![ju64((first + o) as u64), ju64(w)]))
-                })
+            runs.into_iter()
+                .map(|(start, run)| Json::Arr(vec![ju64(start as u64), Json::Arr(run)]))
                 .collect(),
         )
+    }
+
+    /// Set the words of one document run, on the pages `keep` selects.
+    /// Every word is decoded, so a malformed run fails whichever pages it
+    /// lands on.
+    fn apply_run(
+        &mut self,
+        start: usize,
+        words: &[Json],
+        keep: impl Fn(usize) -> bool,
+    ) -> SimResult<()> {
+        for (i, w) in (start..).zip(words) {
+            let w = ju64_of(w).ok_or_else(|| snap::err("malformed memory word"))?;
+            if keep(i / PAGE_WORDS) {
+                self.set_word(i, w);
+            }
+        }
+        Ok(())
     }
 
     /// Nonzero page epochs as `[page, epoch]` pairs.
@@ -441,14 +479,10 @@ impl Component for Memory {
     fn restore(&mut self, state: &Json) -> SimResult<()> {
         // A cross-simulator restore trusts nothing about the live image:
         // drop every page, set the document's words, then adopt its epochs.
-        let data = snap::field(state, "data")?
-            .as_arr()
-            .ok_or_else(|| snap::err("memory data is not an array"))?;
         self.pages.fill(None);
-        for e in data {
-            let (i, w) = pair_entry(e, "word")?;
-            let i = self.doc_index(i)?;
-            self.set_word(i, w);
+        for run in doc_runs(state, self.cfg.size_words)? {
+            let (start, words) = run?;
+            self.apply_run(start, words, |_| true)?;
         }
         self.page_epochs.fill(0);
         for entry in doc_page_epochs(state, self.page_epochs.len())? {
@@ -470,15 +504,10 @@ impl Component for Memory {
                 self.pages[p] = None;
                 self.page_epochs[p] = ep;
             }
-            for e in snap::arr_field(state, "data")? {
-                let (i, w) = pair_entry(e, "word")?;
-                let i = self.doc_index(i)?;
-                if dirty
-                    .binary_search_by_key(&(i / PAGE_WORDS), |&(p, _)| p)
-                    .is_ok()
-                {
-                    self.set_word(i, w);
-                }
+            let is_dirty = |p: usize| dirty.binary_search_by_key(&p, |&(q, _)| q).is_ok();
+            for run in doc_runs(state, self.cfg.size_words)? {
+                let (start, words) = run?;
+                self.apply_run(start, words, is_dirty)?;
             }
         }
         self.restore_meta(state)
@@ -766,9 +795,24 @@ mod tests {
                         .collect(),
                 )
             };
+            // Maximal runs of nonzero words, found on the dense image.
+            let mut runs = Vec::new();
+            let mut i = 0;
+            while i < self.data.len() {
+                if self.data[i] == 0 {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < self.data.len() && self.data[i] != 0 {
+                    i += 1;
+                }
+                let words = self.data[start..i].iter().map(|&w| ju64(w)).collect();
+                runs.push(Json::Arr(vec![ju64(start as u64), Json::Arr(words)]));
+            }
             let zero = ju64(0);
             Json::obj()
-                .with("data", pairs(&self.data))
+                .with("data", Json::Arr(runs))
                 .with("page_epochs", pairs(&self.page_epochs))
                 .with("bus_busy_until", zero.clone())
                 .with("direct_busy_until", zero.clone())
@@ -784,23 +828,27 @@ mod tests {
                 )
         }
 
-        fn restore_sparse_data(&mut self, j: &Json) -> SimResult<()> {
-            self.data.fill(0);
-            for e in j
-                .as_arr()
-                .ok_or_else(|| snap::err("memory data is not an array"))?
-            {
-                let pair = e.as_arr().filter(|p| p.len() == 2);
-                let (i, w) = pair
-                    .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-                    .ok_or_else(|| snap::err("malformed memory word entry"))?;
-                let slot = self
-                    .data
-                    .get_mut(i as usize)
-                    .ok_or_else(|| snap::err(format!("memory word {i} outside capacity")))?;
-                *slot = w;
+        /// The document's runs as `(index, word)` pairs, checked against
+        /// the capacity run by run.
+        fn doc_words(&self, state: &Json) -> SimResult<Vec<(usize, Word)>> {
+            let mut out = Vec::new();
+            for e in snap::arr_field(state, "data")? {
+                let run = e.as_arr().filter(|r| r.len() == 2);
+                let (start, words) = run
+                    .and_then(|r| Some((ju64_of(&r[0])?, r[1].as_arr()?)))
+                    .ok_or_else(|| snap::err("malformed memory word run"))?;
+                if start + words.len() as u64 > self.data.len() as u64 {
+                    return Err(snap::err(format!(
+                        "memory run of {} words at {start} outside capacity",
+                        words.len()
+                    )));
+                }
+                for (k, w) in words.iter().enumerate() {
+                    let w = ju64_of(w).ok_or_else(|| snap::err("malformed memory word"))?;
+                    out.push((start as usize + k, w));
+                }
             }
-            Ok(())
+            Ok(out)
         }
 
         fn doc_page_epochs(&self, state: &Json) -> SimResult<Vec<u64>> {
@@ -819,7 +867,10 @@ mod tests {
         }
 
         fn restore(&mut self, state: &Json) -> SimResult<()> {
-            self.restore_sparse_data(snap::field(state, "data")?)?;
+            self.data.fill(0);
+            for (i, w) in self.doc_words(state)? {
+                self.data[i] = w;
+            }
             self.page_epochs = self.doc_page_epochs(state)?;
             Ok(())
         }
@@ -837,15 +888,7 @@ mod tests {
                     let hi = ((p + 1) * PAGE_WORDS).min(self.data.len());
                     self.data[lo..hi].fill(0);
                 }
-                for e in snap::arr_field(state, "data")? {
-                    let pair = e.as_arr().filter(|p| p.len() == 2);
-                    let (i, w) = pair
-                        .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
-                        .ok_or_else(|| snap::err("malformed memory word entry"))?;
-                    let i = i as usize;
-                    if i >= self.data.len() {
-                        return Err(snap::err(format!("memory word {i} outside capacity")));
-                    }
+                for (i, w) in self.doc_words(state)? {
                     if dirty[i / PAGE_WORDS] {
                         self.data[i] = w;
                     }
@@ -963,6 +1006,63 @@ mod tests {
         }
     }
 
+    /// The image is written as maximal runs of nonzero words: a run
+    /// continues across a page boundary, and a zero word ends it. Both
+    /// restore paths read the runs back.
+    #[test]
+    fn image_runs_straddle_pages_and_split_at_zeros() {
+        let cfg = MemoryConfig {
+            base: 0x40,
+            size_words: 4 * PAGE_WORDS,
+            ..MemoryConfig::default()
+        };
+        let mut m = Memory::new(cfg.clone());
+        let page = PAGE_WORDS as u64;
+        // Words page-3..page+5 (one run over the page boundary), a zero at
+        // page+2 splitting it, a lone word, and a run ending the image.
+        let words: Vec<(u64, Word)> = (page - 3..page + 5)
+            .filter(|&i| i != page + 2)
+            .map(|i| (i, i + 1))
+            .chain([(2 * page + 7, 9)])
+            .chain((4 * page - 2..4 * page).map(|i| (i, 7)))
+            .collect();
+        for &(i, w) in &words {
+            ok(m.write(0x40 + i, w));
+        }
+        let doc = ok(m.snapshot());
+        let run = |start: u64, ws: &[u64]| {
+            Json::Arr(vec![
+                ju64(start),
+                Json::Arr(ws.iter().map(|&w| ju64(w)).collect()),
+            ])
+        };
+        let p = page;
+        assert_eq!(
+            snap::field(&doc, "data").ok(),
+            Some(&Json::Arr(vec![
+                run(p - 3, &[p - 2, p - 1, p, p + 1, p + 2]),
+                run(p + 3, &[p + 4, p + 5]),
+                run(2 * p + 7, &[9]),
+                run(4 * p - 2, &[7, 7]),
+            ]))
+        );
+        let check = |r: &Memory| {
+            for i in 0..4 * page {
+                let want = words.iter().find(|e| e.0 == i).map_or(0, |e| e.1);
+                assert_eq!(r.peek(0x40 + i), Some(want), "word {i}");
+            }
+        };
+        let mut fresh = Memory::new(cfg.clone());
+        ok(fresh.restore(&doc));
+        check(&fresh);
+        // A live rewind refills the pages written since the capture.
+        ok(m.write(0x40 + page + 1, 0));
+        ok(m.write(0x40 + 2 * page + 7, 3));
+        ok(m.restore_live(&doc));
+        check(&m);
+        assert_eq!(ok(m.snapshot()), doc);
+    }
+
     /// A document naming a word or page past the capacity is refused the
     /// same way by both restore paths and by the oracle.
     #[test]
@@ -975,21 +1075,26 @@ mod tests {
         let mut m = Memory::new(cfg.clone());
         ok(m.write(0x80 + PAGE_WORDS as u64 + 2, 5));
         let doc = ok(m.snapshot());
-        let with = |key: &str, entry: [u64; 2]| {
+        let with = |key: &str, entry: Json| {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!("a memory snapshot is an object")
             };
             for (k, v) in &mut fields {
                 if k == key {
                     if let Json::Arr(list) = v {
-                        list.push(Json::Arr(entry.iter().map(|&x| ju64(x)).collect()));
+                        list.push(entry.clone());
                     }
                 }
             }
             Json::Obj(fields)
         };
-        let past_word = with("data", [PAGE_WORDS as u64 + 3, 1]);
-        let past_page = with("page_epochs", [2, 1]);
+        let pair = |a: u64, b: Json| Json::Arr(vec![ju64(a), b]);
+        // A run whose first word is the last in range and whose second is not.
+        let past_word = with(
+            "data",
+            pair(PAGE_WORDS as u64 + 2, Json::Arr(vec![ju64(1), ju64(1)])),
+        );
+        let past_page = with("page_epochs", pair(2, ju64(1)));
         for bad in [&past_word, &past_page] {
             let want = DenseMemory::new(cfg.clone())
                 .restore(bad)

@@ -178,29 +178,57 @@ pub fn reply_of(j: &Json) -> Option<SlaveReply> {
     })
 }
 
-/// Encode a [`TrainBurst`].
-pub fn burst_json(b: &TrainBurst) -> Json {
-    Json::obj()
-        .with("op", op_json(b.op))
-        .with("addr", ju64(b.addr))
-        .with("words", ju64(b.words as u64))
+/// Encode a burst list as its maximal contiguous runs, one
+/// `[op, addr, words, count]` array per run: `count` bursts of the same op
+/// and size, each starting where the previous one ended. A configuration
+/// train of hundreds of equal bursts over one address range is one or two
+/// runs, so the list costs its shape, not its length.
+pub fn burst_list_json(bursts: &[TrainBurst]) -> Json {
+    let mut runs = Vec::new();
+    let mut rest = bursts;
+    while let Some(&first) = rest.first() {
+        let count = 1 + rest[1..]
+            .iter()
+            .zip(rest)
+            .take_while(|&(b, prev)| {
+                b.op == first.op
+                    && b.words == first.words
+                    && prev.addr.checked_add(prev.words as u64) == Some(b.addr)
+            })
+            .count();
+        runs.push(Json::Arr(vec![
+            op_json(first.op),
+            ju64(first.addr),
+            ju64(first.words as u64),
+            ju64(count as u64),
+        ]));
+        rest = &rest[count..];
+    }
+    Json::Arr(runs)
 }
 
-/// Decode a [`TrainBurst`].
-pub fn burst_of(j: &Json) -> Option<TrainBurst> {
-    Some(TrainBurst {
-        op: op_of(j.get("op")?)?,
-        addr: u64f(j, "addr")?,
-        words: usizef(j, "words")?,
-    })
-}
-
-fn burst_list_json(bursts: &[TrainBurst]) -> Json {
-    Json::Arr(bursts.iter().map(burst_json).collect())
-}
-
-fn burst_list_of(j: &Json) -> Option<Vec<TrainBurst>> {
-    j.as_arr()?.iter().map(burst_of).collect()
+/// Decode a burst list written by [`burst_list_json`], expanding each run.
+/// A run of zero bursts, or one whose addresses overflow, is malformed.
+pub fn burst_list_of(j: &Json) -> Option<Vec<TrainBurst>> {
+    let mut bursts = Vec::new();
+    for run in j.as_arr()? {
+        let [op, addr, words, count] = run.as_arr()? else {
+            return None;
+        };
+        let (op, mut addr) = (op_of(op)?, ju64_of(addr)?);
+        let words = usize::try_from(ju64_of(words)?).ok()?;
+        let count = ju64_of(count)?;
+        if count == 0 {
+            return None;
+        }
+        for k in 0..count {
+            if k > 0 {
+                addr = addr.checked_add(words as u64)?;
+            }
+            bursts.push(TrainBurst { op, addr, words });
+        }
+    }
+    Some(bursts)
 }
 
 fn dma_program_json(p: &DmaProgram) -> Json {

@@ -1841,9 +1841,10 @@ impl Simulator {
 
     /// FNV-1a (64-bit) fingerprint of the canonical snapshot document.
     ///
-    /// The snapshot rendering is streamed byte-by-byte into the hash state
-    /// — no string is materialized — so this is cheap enough to call every
-    /// slice. Two simulators with equal hashes at the same slice have
+    /// This takes a full [`Simulator::snapshot`] — the whole document tree
+    /// is built and its compact rendering hashed once — and returns the
+    /// hash that capture already computed, so it costs exactly one
+    /// capture. Two simulators with equal hashes at the same slice have
     /// bit-identical dynamic state (time, queue order, channels, component
     /// state); sharded runs hash every shard at every horizon so a
     /// parallel-vs-serial divergence pinpoints the first bad slice.
@@ -1851,7 +1852,7 @@ impl Simulator {
     /// Same legality rules as [`Simulator::snapshot`]: only between run
     /// slices, and every component must implement `Component::snapshot`.
     pub fn state_hash(&mut self) -> SimResult<u64> {
-        Ok(self.snapshot()?.json().fnv1a64())
+        Ok(self.snapshot()?.state_hash())
     }
 
     /// Restore a [`Snapshot`] into this freshly built simulator. The

@@ -45,10 +45,10 @@ use crate::error::{SimError, SimErrorKind, SimResult};
 use crate::json::Json;
 
 /// Schema identifier embedded in every snapshot document.
-pub const SNAPSHOT_SCHEMA: &str = "drcf-snapshot-v1";
+pub const SNAPSHOT_SCHEMA: &str = "drcf-snapshot-v2";
 
 /// Schema identifier embedded in every delta-snapshot document.
-pub const DELTA_SCHEMA: &str = "drcf-snapshot-delta-v1";
+pub const DELTA_SCHEMA: &str = "drcf-snapshot-delta-v2";
 
 /// Marker a delta document carries in place of a heavy global (tracer,
 /// recorder) whose mutation epoch is unchanged since the parent capture.
@@ -726,6 +726,34 @@ mod tests {
         assert!(Snapshot::parse("{}").is_err());
         assert!(Snapshot::parse("{\"schema\":\"other\"}").is_err());
         assert!(Snapshot::parse("not json").is_err());
+    }
+
+    /// Documents of the previous version are not read: a v1 full or delta
+    /// document is a typed error through every parser, naming the schema
+    /// it expected.
+    #[test]
+    fn v1_documents_are_typed_errors() {
+        let full = "{\"schema\":\"drcf-snapshot-v1\",\"now\":0}";
+        let delta = "{\"schema\":\"drcf-snapshot-delta-v1\",\"parent\":1,\"child\":2}";
+        let errors = [
+            Snapshot::parse(full).map(|_| ()),
+            ChainDoc::parse(full).map(|_| ()),
+            SnapshotDelta::parse(delta).map(|_| ()),
+            ChainDoc::parse(delta).map(|_| ()),
+        ];
+        for e in errors {
+            let e = e.expect_err("a v1 document is refused");
+            assert_eq!(e.kind, SimErrorKind::Validation, "{e}");
+            assert!(
+                e.message.contains(SNAPSHOT_SCHEMA) || e.message.contains(DELTA_SCHEMA),
+                "{e}"
+            );
+        }
+        // The current schemas still parse.
+        assert!(Snapshot::parse(&full.replace("drcf-snapshot-v1", SNAPSHOT_SCHEMA)).is_ok());
+        assert!(
+            SnapshotDelta::parse(&delta.replace("drcf-snapshot-delta-v1", DELTA_SCHEMA)).is_ok()
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ use drcf_kernel::json::{self, Json};
 use drcf_kernel::prelude::{ChainDoc, SimError, SimErrorKind, SimResult};
 
 /// Store format tag; bump when the entry layout changes incompatibly.
-pub const STORE_SCHEMA: &str = "drcf-store-v1";
+pub const STORE_SCHEMA: &str = "drcf-store-v2";
 
 /// Rebase period of every stored chain, passed to
 /// [`drcf_kernel::prelude::SnapshotChain::new`]: after this many

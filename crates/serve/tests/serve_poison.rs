@@ -175,6 +175,56 @@ fn wrong_schema_meta_is_typed() {
 }
 
 #[test]
+fn v1_store_entry_is_wiped_and_resimulated() {
+    // An entry written by the previous store format: its meta and every
+    // link carry the v1 schema tags. Nothing reads v1, so the entry is a
+    // typed error, and serving re-simulates it from scratch.
+    let scratch = Scratch::new("store-v1");
+    let store = scratch.store();
+    let req = SweepRequest::small(4_000, vec![200, 600]);
+    process_sweep(&store, &req).expect("seed sweep");
+    let key = req.key();
+    let meta = store.meta(key).expect("meta").expect("entry");
+    let entry = scratch.entry(key);
+    let downgrade = |file: &str, from: &str, to: &str| {
+        let path = entry.join(file);
+        let text = std::fs::read_to_string(&path).expect("read entry file");
+        assert!(text.contains(from), "{file} names {from}");
+        std::fs::write(&path, text.replace(from, to)).expect("write v1 file");
+    };
+    downgrade(
+        "meta.json",
+        drcf_serve::store::STORE_SCHEMA,
+        "drcf-store-v1",
+    );
+    for link in &meta.links {
+        let (from, to) = if link.full {
+            (drcf_kernel::snapshot::SNAPSHOT_SCHEMA, "drcf-snapshot-v1")
+        } else {
+            (
+                drcf_kernel::snapshot::DELTA_SCHEMA,
+                "drcf-snapshot-delta-v1",
+            )
+        };
+        downgrade(&link.file, from, to);
+    }
+    let e = store.meta(key).expect_err("a v1 entry is refused");
+    assert_eq!(e.kind, SimErrorKind::SnapshotChain, "{e}");
+
+    let _ = std::fs::remove_file(entry.join(format!("records-{}.jsonl", req.fork_ns)));
+    let served = process_sweep(&store, &req).expect("repair sweep");
+    assert_eq!(served.simulated, 2, "the v1 entry is re-simulated");
+    let fresh = Scratch::new("store-v1-fresh");
+    let expect = process_sweep(&fresh.store(), &req).expect("reference sweep");
+    assert_eq!(
+        served.records, expect.records,
+        "the answer a fresh store gives"
+    );
+    let healed = store.meta(key).expect("meta").expect("entry rewritten");
+    assert!(!healed.links.is_empty());
+}
+
+#[test]
 fn flipped_delta_body_is_recovered() {
     // A full link @2us and a delta @4us. A digit flipped in the delta's
     // body leaves its declared parent and child hashes intact, so the link
