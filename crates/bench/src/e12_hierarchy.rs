@@ -31,6 +31,10 @@ struct Prober {
 }
 
 impl Component for Prober {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        drcf_bus::snapshot::BUS_DECODERS
+    }
+
     fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
         match &msg.kind {
             MsgKind::Start => api.timer_in(self.period, 0),
@@ -72,6 +76,10 @@ struct Churner {
 }
 
 impl Component for Churner {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        drcf_bus::snapshot::BUS_DECODERS
+    }
+
     fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
         let next = |s: &mut Self, api: &mut Api<'_>| {
             if s.accesses_left > 0 {

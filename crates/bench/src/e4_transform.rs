@@ -54,6 +54,10 @@ impl ScriptProbe {
 }
 
 impl Component for ScriptProbe {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        drcf_bus::snapshot::BUS_DECODERS
+    }
+
     fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
         match &msg.kind {
             MsgKind::Start => self.next(api),

@@ -21,7 +21,6 @@ use drcf_kernel::snapshot::{self as snap, Snapshotable};
 
 use crate::interfaces::MasterPort;
 use crate::protocol::{BusResponse, SlaveAccess, SlaveReply, TxnId};
-use crate::snapshot::req_of;
 
 /// Bridge parameters.
 #[derive(Debug, Clone)]
@@ -159,21 +158,16 @@ impl BusBridge {
 }
 
 impl Component for BusBridge {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("port", self.port.snapshot_json())
             .with(
                 "pending_forward",
-                Json::Arr(
-                    self.pending_forward
-                        .iter()
-                        .map(|a| {
-                            Json::obj()
-                                .with("req", crate::snapshot::req_json(&a.req))
-                                .with("bus", ju64(a.bus as u64))
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.pending_forward.iter().map(Codec::encode).collect()),
             )
             .with(
                 "in_flight",
@@ -196,14 +190,11 @@ impl Component for BusBridge {
 
     fn restore(&mut self, state: &Json) -> SimResult<()> {
         self.port.restore_json(snap::field(state, "port")?)?;
-        self.pending_forward.clear();
-        for a in snap::arr_field(state, "pending_forward")? {
-            self.pending_forward.push_back(SlaveAccess {
-                req: req_of(snap::field(a, "req")?)
-                    .ok_or_else(|| snap::err("malformed bridged request"))?,
-                bus: snap::usize_field(a, "bus")?,
-            });
-        }
+        self.pending_forward = snap::arr_field(state, "pending_forward")?
+            .iter()
+            .map(SlaveAccess::decode)
+            .collect::<Option<_>>()
+            .ok_or_else(|| snap::err("malformed bridged request"))?;
         self.in_flight.clear();
         for f in snap::arr_field(state, "in_flight")? {
             self.in_flight.push(InFlight {

@@ -260,7 +260,6 @@ pub struct Bus {
 impl Bus {
     /// New bus with the given configuration and decode map.
     pub fn new(cfg: BusConfig, map: AddressMap) -> Self {
-        crate::snapshot::register_bus_codecs();
         let arbiter = cfg.arbiter.build();
         Bus {
             cfg,
@@ -878,7 +877,7 @@ impl Bus {
 
 impl Bus {
     fn pending_json(&self) -> Json {
-        use crate::snapshot::{reply_json, req_json, time_json};
+        use crate::snapshot::time_json;
         Json::Arr(
             self.pending
                 .iter()
@@ -889,7 +888,7 @@ impl Bus {
                         arrived_at,
                     } => Json::obj()
                         .with("kind", "req".into())
-                        .with("req", req_json(req))
+                        .with("req", req.encode())
                         .with("arrival", ju64(*arrival))
                         .with("arrived_at", time_json(*arrived_at)),
                     Pending::Response {
@@ -898,7 +897,7 @@ impl Bus {
                         arrived_at,
                     } => Json::obj()
                         .with("kind", "resp".into())
-                        .with("reply", reply_json(reply))
+                        .with("reply", reply.encode())
                         .with("arrival", ju64(*arrival))
                         .with("arrived_at", time_json(*arrived_at)),
                 })
@@ -907,7 +906,7 @@ impl Bus {
     }
 
     fn restore_pending(&mut self, state: &Json) -> SimResult<()> {
-        use crate::snapshot::{reply_of, req_of, time_of};
+        use crate::snapshot::time_of;
         self.pending.clear();
         for p in snap::arr_field(state, "pending")? {
             let arrival = snap::u64_field(p, "arrival")?;
@@ -915,13 +914,13 @@ impl Bus {
                 time_of(snap::field(p, "arrived_at")?).ok_or_else(|| snap::err("bad time"))?;
             let entry = match snap::str_field(p, "kind")? {
                 "req" => Pending::Request {
-                    req: req_of(snap::field(p, "req")?)
+                    req: BusRequest::decode(snap::field(p, "req")?)
                         .ok_or_else(|| snap::err("malformed pending bus request"))?,
                     arrival,
                     arrived_at,
                 },
                 "resp" => Pending::Response {
-                    reply: reply_of(snap::field(p, "reply")?)
+                    reply: SlaveReply::decode(snap::field(p, "reply")?)
                         .ok_or_else(|| snap::err("malformed pending slave reply"))?,
                     arrival,
                     arrived_at,
@@ -934,33 +933,31 @@ impl Bus {
     }
 
     fn state_json(&self) -> Json {
-        use crate::snapshot::{reply_json, req_json};
         match &self.state {
             State::Idle => Json::obj().with("kind", "idle".into()),
             State::RequestPhase { req, slave } => Json::obj()
                 .with("kind", "request".into())
-                .with("req", req_json(req))
+                .with("req", req.encode())
                 .with("slave", ju64(*slave as u64)),
             State::WaitSlave => Json::obj().with("kind", "wait_slave".into()),
             State::ResponsePhase { reply } => Json::obj()
                 .with("kind", "response".into())
-                .with("reply", reply_json(reply)),
+                .with("reply", reply.encode()),
         }
     }
 
     fn restore_state(&mut self, state: &Json) -> SimResult<()> {
-        use crate::snapshot::{reply_of, req_of};
         let j = snap::field(state, "state")?;
         self.state = match snap::str_field(j, "kind")? {
             "idle" => State::Idle,
             "request" => State::RequestPhase {
-                req: req_of(snap::field(j, "req")?)
+                req: BusRequest::decode(snap::field(j, "req")?)
                     .ok_or_else(|| snap::err("malformed in-phase bus request"))?,
                 slave: snap::usize_field(j, "slave")?,
             },
             "wait_slave" => State::WaitSlave,
             "response" => State::ResponsePhase {
-                reply: reply_of(snap::field(j, "reply")?)
+                reply: SlaveReply::decode(snap::field(j, "reply")?)
                     .ok_or_else(|| snap::err("malformed in-phase slave reply"))?,
             },
             other => return Err(snap::err(format!("unknown bus state `{other}`"))),
@@ -1042,6 +1039,10 @@ impl Bus {
 }
 
 impl Component for Bus {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         use crate::snapshot::time_json;
         Ok(Json::obj()
@@ -1188,12 +1189,7 @@ pub(crate) mod tests {
                 .with("pc", ju64(self.pc as u64))
                 .with(
                     "responses",
-                    Json::Arr(
-                        self.responses
-                            .iter()
-                            .map(crate::snapshot::resp_json)
-                            .collect(),
-                    ),
+                    Json::Arr(self.responses.iter().map(Codec::encode).collect()),
                 ))
         }
 
@@ -1202,7 +1198,7 @@ pub(crate) mod tests {
             self.pc = snap::usize_field(state, "pc")?;
             self.responses = snap::arr_field(state, "responses")?
                 .iter()
-                .map(crate::snapshot::resp_of)
+                .map(BusResponse::decode)
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| snap::err("malformed recorded response"))?;
             Ok(())
@@ -1639,7 +1635,7 @@ pub(crate) mod tests {
                     "deco",
                     match &self.deco {
                         None => Json::Null,
-                        Some(d) => drcf_kernel::snapshot::encode_payload(d)?,
+                        Some(d) => d.encode(),
                     },
                 )
                 .with(
@@ -1665,9 +1661,8 @@ pub(crate) mod tests {
             self.deco = match snap::field(state, "deco")? {
                 Json::Null => None,
                 j => Some(
-                    *drcf_kernel::snapshot::decode_payload(j)?
-                        .downcast::<ConfigTrainDecoalesced>()
-                        .map_err(|_| snap::err("deco payload has the wrong type"))?,
+                    ConfigTrainDecoalesced::decode(j)
+                        .ok_or_else(|| snap::err("malformed deco payload"))?,
                 ),
             };
             self.finished_at = match snap::field(state, "finished_at")? {

@@ -315,6 +315,10 @@ impl Dma {
 }
 
 impl Component for Dma {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("regs", words_json(&self.regs))

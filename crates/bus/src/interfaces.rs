@@ -132,7 +132,6 @@ pub struct SlaveAdapter<M: BusSlaveModel> {
 impl<M: BusSlaveModel> SlaveAdapter<M> {
     /// Wrap `model`, timing accesses against a clock of `clock_mhz` MHz.
     pub fn new(model: M, clock_mhz: u64) -> Self {
-        crate::snapshot::register_bus_codecs();
         SlaveAdapter {
             model,
             clock_mhz,
@@ -154,6 +153,10 @@ impl<M: BusSlaveModel> SlaveAdapter<M> {
 }
 
 impl<M: BusSlaveModel> Component for SlaveAdapter<M> {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("model", self.model.snapshot_state().map_err(snap::err)?)
@@ -223,7 +226,6 @@ pub struct MasterPort {
 impl MasterPort {
     /// New port talking to `bus`, issuing at `priority`.
     pub fn new(bus: ComponentId, priority: u8) -> Self {
-        crate::snapshot::register_bus_codecs();
         MasterPort {
             bus,
             priority,

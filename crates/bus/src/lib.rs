@@ -46,5 +46,4 @@ pub mod prelude {
         DirectReadReq, InFlightBurst, ServeBurst, SlaveAccess, SlaveReply, TrainBurst, TxnId, Word,
     };
     pub use crate::remote::{BridgeDownstream, BridgeUpstream};
-    pub use crate::snapshot::register_bus_codecs;
 }

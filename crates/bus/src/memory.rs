@@ -207,7 +207,6 @@ pub struct Memory {
 impl Memory {
     /// New zero-initialized memory.
     pub fn new(cfg: MemoryConfig) -> Self {
-        crate::snapshot::register_bus_codecs();
         let pages = cfg.size_words.div_ceil(PAGE_WORDS);
         Memory {
             cfg,
@@ -458,6 +457,10 @@ impl BusSlaveModel for Memory {
 }
 
 impl Component for Memory {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("data", self.sparse_data_json())

@@ -139,7 +139,6 @@ impl BridgeUpstream {
     /// New upstream half. Call [`LinkEndpoint::attach_tx`] with the
     /// request link's handle before adding it to the simulator.
     pub fn new() -> Self {
-        crate::snapshot::register_bus_codecs();
         BridgeUpstream {
             tx: None,
             next_corr: 0,
@@ -228,6 +227,10 @@ impl Default for BridgeUpstream {
 }
 
 impl Component for BridgeUpstream {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("next_corr", ju64(self.next_corr))
@@ -372,6 +375,10 @@ impl BridgeDownstream {
 }
 
 impl Component for BridgeDownstream {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        crate::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("port", self.port.snapshot_json())

@@ -27,7 +27,7 @@ use drcf_bus::prelude::{
     ConfigTrainDone, ConfigTrainRejected, DirectReadDone, DirectReadReq, MasterPort, SlaveAccess,
     SlaveReply, TrainBurst,
 };
-use drcf_bus::snapshot::{access_json, access_of, time_json, time_of};
+use drcf_bus::snapshot::{time_json, time_of};
 use drcf_kernel::json::{ju64, Json};
 use drcf_kernel::prelude::*;
 use drcf_kernel::snapshot::{self as snap, Snapshotable};
@@ -228,7 +228,6 @@ impl Drcf {
     /// when the context set is empty, a context's parameters are invalid,
     /// or two contexts' interface ranges overlap.
     pub fn try_new(cfg: DrcfConfig, contexts: Vec<Context>) -> SimResult<Self> {
-        drcf_bus::snapshot::register_bus_codecs();
         if contexts.is_empty() {
             return Err(SimError::new(
                 SimErrorKind::Validation,
@@ -1084,7 +1083,7 @@ impl Drcf {
         self.queue.clear();
         for q in snap::arr_field(state, "queue")? {
             self.queue.push_back(Queued {
-                access: access_of(snap::field(q, "access")?)
+                access: SlaveAccess::decode(snap::field(q, "access")?)
                     .ok_or_else(|| snap::err("malformed queued access"))?,
                 arrived: time_of(snap::field(q, "arrived")?)
                     .ok_or_else(|| snap::err("bad queued-access arrival time"))?,
@@ -1112,6 +1111,10 @@ impl Drcf {
 }
 
 impl Component for Drcf {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        drcf_bus::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         let mut models = Vec::with_capacity(self.contexts.len());
         for c in &self.contexts {
@@ -1134,7 +1137,7 @@ impl Component for Drcf {
                         .iter()
                         .map(|q| {
                             Json::obj()
-                                .with("access", access_json(&q.access))
+                                .with("access", q.access.encode())
                                 .with("arrived", time_json(q.arrived))
                         })
                         .collect(),

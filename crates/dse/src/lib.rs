@@ -24,7 +24,7 @@ pub mod trace;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::json::Json;
-    pub use crate::metrics::{record_jsonl_line, records_from_jsonl, records_to_json, RunRecord};
+    pub use crate::metrics::{records_to_json, RunRecord};
     pub use crate::pareto::{dominates, objectives, pareto_front, Objective};
     pub use crate::partition::{explore_partitions, size_fabric, subsets, PartitionOutcome};
     pub use crate::report::{fmt_ns, fmt_pct, Table};

@@ -197,47 +197,6 @@ pub fn records_to_json(records: &[RunRecord]) -> Json {
     Json::Arr(records.iter().map(RunRecord::to_json).collect())
 }
 
-/// One JSONL line binding a sweep-point index to its completed record —
-/// the append-streamed persistence unit of a crash-resumable sweep
-/// (`drcf-serve`): each finished point appends one line, so an
-/// interruption at any instant loses at most the line being written.
-pub fn record_jsonl_line(point: usize, record: &RunRecord) -> String {
-    let mut line = Json::obj()
-        .with("point", Json::from(point as u64))
-        .with("record", record.to_json())
-        .to_string();
-    line.push('\n');
-    line
-}
-
-/// Recover `(point, record)` pairs from an append-streamed JSONL file
-/// written with [`record_jsonl_line`].
-///
-/// A line that does not parse, or parses to the wrong shape, is skipped
-/// rather than fatal: a process killed mid-append leaves exactly one torn
-/// trailing line, and the crash-resume contract is "re-simulate anything
-/// not durably recorded", so dropping it is always safe. The number of
-/// skipped lines is returned so callers can report the repair.
-pub fn records_from_jsonl(text: &str) -> (Vec<(usize, RunRecord)>, usize) {
-    let mut out = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = Json::parse(line).ok().and_then(|j| {
-            let point = j.get("point").and_then(Json::as_f64)? as usize;
-            let record = RunRecord::from_json(j.get("record")?).ok()?;
-            Some((point, record))
-        });
-        match parsed {
-            Some(pair) => out.push(pair),
-            None => skipped += 1,
-        }
-    }
-    (out, skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

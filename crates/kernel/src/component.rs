@@ -11,6 +11,7 @@ use crate::error::SimResult;
 use crate::event::Msg;
 use crate::json::Json;
 use crate::kernel::Api;
+use crate::snapshot::Decoder;
 
 /// A simulation component.
 ///
@@ -49,6 +50,15 @@ pub trait Component: Any {
     /// always correct.
     fn restore_live(&mut self, state: &Json) -> SimResult<()> {
         self.restore(state)
+    }
+
+    /// Decoders for the payload types this component receives, so a
+    /// restore can rebuild messages a snapshot caught in flight. A crate
+    /// exports its payload types' decoders as one `const` slice (for
+    /// example `drcf_bus::snapshot::BUS_DECODERS`); the simulator collects
+    /// the slices as components are added.
+    fn decoders(&self) -> &'static [Decoder] {
+        &[]
     }
 }
 

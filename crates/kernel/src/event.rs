@@ -9,6 +9,7 @@
 use std::any::Any;
 use std::fmt;
 
+use crate::snapshot::Payload;
 use crate::time::SimDuration;
 
 /// Identifies a component instance registered with the simulator.
@@ -75,7 +76,7 @@ pub enum MsgKind {
     Timer(u64),
     /// A user-defined payload from another component (or from itself).
     /// Downcast with [`Msg::user`].
-    User(Box<dyn Any>),
+    User(Box<dyn Payload>),
 }
 
 impl fmt::Debug for MsgKind {
@@ -110,13 +111,12 @@ impl Msg {
     /// tried.
     pub fn user<T: Any>(self) -> Result<T, Msg> {
         match self.kind {
-            MsgKind::User(b) => match b.downcast::<T>() {
-                Ok(v) => Ok(*v),
-                Err(b) => Err(Msg {
-                    source: self.source,
-                    kind: MsgKind::User(b),
-                }),
-            },
+            MsgKind::User(b) if (b.as_ref() as &dyn Any).is::<T>() => {
+                match (b as Box<dyn Any>).downcast::<T>() {
+                    Ok(v) => Ok(*v),
+                    Err(_) => unreachable!("the guard checked the payload type"),
+                }
+            }
             kind => Err(Msg {
                 source: self.source,
                 kind,
@@ -127,7 +127,7 @@ impl Msg {
     /// Peek at a user payload by reference without consuming the message.
     pub fn user_ref<T: Any>(&self) -> Option<&T> {
         match &self.kind {
-            MsgKind::User(b) => b.downcast_ref::<T>(),
+            MsgKind::User(b) => (b.as_ref() as &dyn Any).downcast_ref::<T>(),
             _ => None,
         }
     }
@@ -164,26 +164,28 @@ pub enum StopReason {
 mod tests {
     use super::*;
 
+    use crate::sync::{SemPost, SemWait};
+
     #[test]
     fn msg_user_downcast_roundtrip() {
         let m = Msg {
             source: Some(3),
-            kind: MsgKind::User(Box::new(42u32)),
+            kind: MsgKind::User(Box::new(SemWait { tag: 42 })),
         };
-        assert_eq!(m.user_ref::<u32>(), Some(&42));
-        let v: u32 = crate::testing::ok(m.user());
-        assert_eq!(v, 42);
+        assert_eq!(m.user_ref::<SemWait>().map(|w| w.tag), Some(42));
+        let v: SemWait = crate::testing::ok(m.user());
+        assert_eq!(v.tag, 42);
     }
 
     #[test]
     fn msg_user_wrong_type_returns_message() {
         let m = Msg {
             source: None,
-            kind: MsgKind::User(Box::new("hello".to_string())),
+            kind: MsgKind::User(Box::new(SemPost)),
         };
-        let m = m.user::<u32>().expect_err("wrong type must fail");
-        let s: String = crate::testing::ok(m.user());
-        assert_eq!(s, "hello");
+        let m = m.user::<SemWait>().expect_err("wrong type must fail");
+        assert!(m.user_ref::<SemWait>().is_none());
+        let _: SemPost = crate::testing::ok(m.user());
     }
 
     #[test]

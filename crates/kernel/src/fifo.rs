@@ -11,7 +11,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 
+use crate::error::SimResult;
 use crate::event::{ComponentId, FifoIdx};
+use crate::json::{ju64, Json};
+use crate::snapshot::{self as snap, SnapPrim};
 
 /// Typed handle to a FIFO registered with a simulator.
 pub struct FifoRef<T> {
@@ -99,12 +102,14 @@ pub(crate) trait AnyFifoSlot: Any {
     fn total_written(&self) -> u64;
     fn total_read(&self) -> u64;
     fn high_watermark(&self) -> usize;
-    #[allow(dead_code)]
-    fn as_any(&self) -> &dyn Any;
+    /// The slot's snapshot entry.
+    fn snapshot_json(&self) -> Json;
+    /// Restore the slot from an entry written by `snapshot_json`.
+    fn restore_json(&mut self, state: &Json) -> SimResult<()>;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<T: 'static> AnyFifoSlot for FifoSlot<T> {
+impl<T: SnapPrim> AnyFifoSlot for FifoSlot<T> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -131,8 +136,38 @@ impl<T: 'static> AnyFifoSlot for FifoSlot<T> {
     fn high_watermark(&self) -> usize {
         self.high_watermark
     }
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn snapshot_json(&self) -> Json {
+        Json::obj()
+            .with("name", Json::from(self.name.as_str()))
+            .with("type", Json::from(T::TAG))
+            .with("items", Json::Arr(self.items.iter().map(T::enc).collect()))
+            .with("total_written", ju64(self.total_written))
+            .with("total_read", ju64(self.total_read))
+            .with("high_watermark", ju64(self.high_watermark as u64))
+            .with("subs", snap::usize_list_json(&self.subscribers))
+    }
+    fn restore_json(&mut self, state: &Json) -> SimResult<()> {
+        snap::check_tag::<T>("fifo", &self.name, state)?;
+        let mut items = VecDeque::new();
+        for it in snap::arr_field(state, "items")? {
+            items.push_back(T::dec(it).ok_or_else(|| {
+                snap::err(format!("fifo {:?}: bad {} item {it}", self.name, T::TAG))
+            })?);
+        }
+        if items.len() > self.capacity {
+            return Err(snap::err(format!(
+                "fifo {:?}: snapshot holds {} items, capacity is {}",
+                self.name,
+                items.len(),
+                self.capacity
+            )));
+        }
+        self.items = items;
+        self.total_written = snap::u64_field(state, "total_written")?;
+        self.total_read = snap::u64_field(state, "total_read")?;
+        self.high_watermark = snap::usize_field(state, "high_watermark")?;
+        self.subscribers = snap::usize_list(state, "subs")?;
+        Ok(())
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
@@ -160,13 +195,13 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let mut f = FifoSlot::new("f".into(), 2);
-        f.try_put('a').unwrap();
-        f.try_put('b').unwrap();
-        assert_eq!(f.try_put('c'), Err('c'));
+        f.try_put(b'a').unwrap();
+        f.try_put(b'b').unwrap();
+        assert_eq!(f.try_put(b'c'), Err(b'c'));
         assert_eq!(f.len(), 2);
         assert_eq!(f.high_watermark, 2);
         f.try_get();
-        f.try_put('c').unwrap();
+        f.try_put(b'c').unwrap();
         assert_eq!(f.len(), 2);
     }
 

@@ -28,7 +28,9 @@ use crate::observe::{Recorder, SimEvent, TraceCategory, TraceEventKind, KERNEL_S
 use crate::queue::{EventQueue, TimedEntry};
 use crate::report::{Reporter, Severity};
 use crate::signal::{AnySignalSlot, SignalRef, SignalSlot, SignalValue};
-use crate::snapshot::{self as snap, Snapshot, SnapshotDelta, Snapshotable};
+use crate::snapshot::{
+    self as snap, DecoderTable, Payload, SnapPrim, Snapshot, SnapshotDelta, Snapshotable,
+};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Traceable, VcdTracer};
 
@@ -484,257 +486,8 @@ impl KernelState {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot support: channel value codecs and message-kind serialization
+// Snapshot support: document walks and message-kind serialization
 // ---------------------------------------------------------------------------
-
-/// Primitive channel value types the snapshot subsystem understands.
-/// Signals and FIFOs instantiated at other types fail the snapshot with a
-/// typed error naming the channel, so unsupported state is never silently
-/// dropped.
-trait SnapPrim: Clone + PartialEq + std::fmt::Debug + 'static {
-    const TAG: &'static str;
-    fn enc(&self) -> Json;
-    fn dec(j: &Json) -> Option<Self>;
-}
-
-impl SnapPrim for bool {
-    const TAG: &'static str = "bool";
-    fn enc(&self) -> Json {
-        Json::Bool(*self)
-    }
-    fn dec(j: &Json) -> Option<bool> {
-        j.as_bool()
-    }
-}
-
-macro_rules! snap_prim_small_uint {
-    ($($t:ty => $tag:literal),*) => {$(
-        impl SnapPrim for $t {
-            const TAG: &'static str = $tag;
-            fn enc(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-            fn dec(j: &Json) -> Option<$t> {
-                <$t>::try_from(j.as_u64()?).ok()
-            }
-        }
-    )*};
-}
-snap_prim_small_uint!(u8 => "u8", u16 => "u16", u32 => "u32");
-
-impl SnapPrim for u64 {
-    const TAG: &'static str = "u64";
-    fn enc(&self) -> Json {
-        ju64(*self)
-    }
-    fn dec(j: &Json) -> Option<u64> {
-        crate::json::ju64_of(j)
-    }
-}
-
-impl SnapPrim for usize {
-    const TAG: &'static str = "usize";
-    fn enc(&self) -> Json {
-        ju64(*self as u64)
-    }
-    fn dec(j: &Json) -> Option<usize> {
-        usize::try_from(crate::json::ju64_of(j)?).ok()
-    }
-}
-
-impl SnapPrim for i32 {
-    const TAG: &'static str = "i32";
-    fn enc(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-    fn dec(j: &Json) -> Option<i32> {
-        i32::try_from(crate::json::ji64_of(j)?).ok()
-    }
-}
-
-impl SnapPrim for i64 {
-    const TAG: &'static str = "i64";
-    fn enc(&self) -> Json {
-        crate::json::ji64(*self)
-    }
-    fn dec(j: &Json) -> Option<i64> {
-        crate::json::ji64_of(j)
-    }
-}
-
-impl SnapPrim for f64 {
-    const TAG: &'static str = "f64";
-    fn enc(&self) -> Json {
-        Json::Num(*self)
-    }
-    fn dec(j: &Json) -> Option<f64> {
-        j.as_f64()
-    }
-}
-
-fn signal_snapshot_typed<T: SnapPrim>(any: &dyn AnySignalSlot) -> Option<SimResult<Json>> {
-    let slot = any.as_any().downcast_ref::<SignalSlot<T>>()?;
-    Some(if slot.pending.is_some() {
-        Err(snap::err(format!(
-            "signal {:?} has an unapplied write; snapshot only between run slices",
-            slot.name
-        )))
-    } else {
-        Ok(Json::obj()
-            .with("name", Json::from(slot.name.as_str()))
-            .with("type", Json::from(T::TAG))
-            .with("current", slot.current.enc())
-            .with("change_count", ju64(slot.change_count))
-            .with("last_change", ju64(slot.last_change.0))
-            .with("subs", snap::usize_list_json(&slot.subscribers)))
-    })
-}
-
-fn signal_restore_typed<T: SnapPrim>(any: &mut dyn AnySignalSlot, state: &Json) -> SimResult<bool> {
-    let Some(slot) = any.as_any_mut().downcast_mut::<SignalSlot<T>>() else {
-        return Ok(false);
-    };
-    let cur = snap::field(state, "current")?;
-    slot.current = T::dec(cur).ok_or_else(|| {
-        snap::err(format!(
-            "signal {:?}: bad {} value {cur}",
-            slot.name,
-            T::TAG
-        ))
-    })?;
-    slot.pending = None;
-    slot.change_count = snap::u64_field(state, "change_count")?;
-    slot.last_change = SimTime(snap::u64_field(state, "last_change")?);
-    slot.subscribers = snap::usize_list(state, "subs")?;
-    Ok(true)
-}
-
-macro_rules! for_each_snap_prim {
-    ($m:ident) => {
-        $m!(bool);
-        $m!(u8);
-        $m!(u16);
-        $m!(u32);
-        $m!(u64);
-        $m!(usize);
-        $m!(i32);
-        $m!(i64);
-        $m!(f64);
-    };
-}
-
-fn signal_snapshot(idx: usize, any: &dyn AnySignalSlot) -> SimResult<Json> {
-    macro_rules! try_type {
-        ($t:ty) => {
-            if let Some(r) = signal_snapshot_typed::<$t>(any) {
-                return r;
-            }
-        };
-    }
-    for_each_snap_prim!(try_type);
-    Err(snap::err(format!(
-        "signal {idx} ({:?}) holds a type the snapshot subsystem does not support",
-        any.name()
-    )))
-}
-
-fn signal_restore(idx: usize, any: &mut dyn AnySignalSlot, state: &Json) -> SimResult<()> {
-    let tag = snap::str_field(state, "type")?;
-    macro_rules! try_type {
-        ($t:ty) => {
-            if tag == <$t as SnapPrim>::TAG {
-                return if signal_restore_typed::<$t>(any, state)? {
-                    Ok(())
-                } else {
-                    Err(snap::err(format!(
-                        "signal {idx} ({:?}) is not of snapshot type {tag:?}",
-                        any.name()
-                    )))
-                };
-            }
-        };
-    }
-    for_each_snap_prim!(try_type);
-    Err(snap::err(format!("unknown signal type tag {tag:?}")))
-}
-
-fn fifo_snapshot_typed<T: SnapPrim>(any: &dyn AnyFifoSlot) -> Option<Json> {
-    let slot = any.as_any().downcast_ref::<FifoSlot<T>>()?;
-    let items: Vec<Json> = slot.items.iter().map(SnapPrim::enc).collect();
-    Some(
-        Json::obj()
-            .with("name", Json::from(slot.name.as_str()))
-            .with("type", Json::from(T::TAG))
-            .with("items", Json::Arr(items))
-            .with("total_written", ju64(slot.total_written))
-            .with("total_read", ju64(slot.total_read))
-            .with("high_watermark", ju64(slot.high_watermark as u64))
-            .with("subs", snap::usize_list_json(&slot.subscribers)),
-    )
-}
-
-fn fifo_restore_typed<T: SnapPrim>(any: &mut dyn AnyFifoSlot, state: &Json) -> SimResult<bool> {
-    let Some(slot) = any.as_any_mut().downcast_mut::<FifoSlot<T>>() else {
-        return Ok(false);
-    };
-    let mut items = std::collections::VecDeque::new();
-    for it in snap::arr_field(state, "items")? {
-        items.push_back(
-            T::dec(it).ok_or_else(|| {
-                snap::err(format!("fifo {:?}: bad {} item {it}", slot.name, T::TAG))
-            })?,
-        );
-    }
-    if items.len() > slot.capacity {
-        return Err(snap::err(format!(
-            "fifo {:?}: snapshot holds {} items, capacity is {}",
-            slot.name,
-            items.len(),
-            slot.capacity
-        )));
-    }
-    slot.items = items;
-    slot.total_written = snap::u64_field(state, "total_written")?;
-    slot.total_read = snap::u64_field(state, "total_read")?;
-    slot.high_watermark = snap::usize_field(state, "high_watermark")?;
-    slot.subscribers = snap::usize_list(state, "subs")?;
-    Ok(true)
-}
-
-fn fifo_snapshot(idx: usize, any: &dyn AnyFifoSlot) -> SimResult<Json> {
-    macro_rules! try_type {
-        ($t:ty) => {
-            if let Some(j) = fifo_snapshot_typed::<$t>(any) {
-                return Ok(j);
-            }
-        };
-    }
-    for_each_snap_prim!(try_type);
-    Err(snap::err(format!(
-        "fifo {idx} ({:?}) holds a type the snapshot subsystem does not support",
-        any.name()
-    )))
-}
-
-fn fifo_restore(idx: usize, any: &mut dyn AnyFifoSlot, state: &Json) -> SimResult<()> {
-    let tag = snap::str_field(state, "type")?;
-    macro_rules! try_type {
-        ($t:ty) => {
-            if tag == <$t as SnapPrim>::TAG {
-                return if fifo_restore_typed::<$t>(any, state)? {
-                    Ok(())
-                } else {
-                    Err(snap::err(format!(
-                        "fifo {idx} ({:?}) is not of snapshot type {tag:?}",
-                        any.name()
-                    )))
-                };
-            }
-        };
-    }
-    for_each_snap_prim!(try_type);
-    Err(snap::err(format!("unknown fifo type tag {tag:?}")))
-}
 
 /// Which entries `Simulator::apply_doc` applies from a document.
 #[derive(Clone, Copy)]
@@ -809,8 +562,8 @@ fn edge_of(s: &str) -> SimResult<Edge> {
     }
 }
 
-fn msg_kind_json(kind: &MsgKind) -> SimResult<Json> {
-    Ok(match kind {
+fn msg_kind_json(kind: &MsgKind) -> Json {
+    match kind {
         MsgKind::Start => Json::obj().with("k", Json::from("start")),
         MsgKind::SignalChanged(i) => Json::obj()
             .with("k", Json::from("signal"))
@@ -834,11 +587,11 @@ fn msg_kind_json(kind: &MsgKind) -> SimResult<Json> {
             .with("tag", ju64(*tag)),
         MsgKind::User(payload) => Json::obj()
             .with("k", Json::from("user"))
-            .with("payload", snap::encode_payload(payload.as_ref())?),
-    })
+            .with("payload", snap::payload_json(payload.as_ref())),
+    }
 }
 
-fn msg_kind_of(j: &Json) -> SimResult<MsgKind> {
+fn msg_kind_of(j: &Json, decoders: &DecoderTable) -> SimResult<MsgKind> {
     Ok(match snap::str_field(j, "k")? {
         "start" => MsgKind::Start,
         "signal" => MsgKind::SignalChanged(snap::usize_field(j, "idx")?),
@@ -855,7 +608,7 @@ fn msg_kind_of(j: &Json) -> SimResult<MsgKind> {
             },
         ),
         "timer" => MsgKind::Timer(snap::u64_field(j, "tag")?),
-        "user" => MsgKind::User(snap::decode_payload(snap::field(j, "payload")?)?),
+        "user" => MsgKind::User(decoders.decode(snap::field(j, "payload")?)?),
         other => return Err(snap::err(format!("unknown message kind {other:?}"))),
     })
 }
@@ -909,7 +662,27 @@ impl Api<'_> {
     }
 
     /// Send a user payload to `target` after `delay`.
-    pub fn send<P: Any>(&mut self, target: ComponentId, payload: P, delay: Delay) {
+    ///
+    /// The payload's type must have a snapshot [`Codec`], so a snapshot can
+    /// always encode it in flight. The semaphore's payloads have one:
+    ///
+    /// ```
+    /// use drcf_kernel::prelude::*;
+    /// let mut sim = Simulator::new();
+    /// sim.add("src", FnComponent::new(|api, _| api.send(0, SemPost, Delay::Delta)));
+    /// ```
+    ///
+    /// A type without one does not compile:
+    ///
+    /// ```compile_fail
+    /// use drcf_kernel::prelude::*;
+    /// struct Opaque;
+    /// let mut sim = Simulator::new();
+    /// sim.add("src", FnComponent::new(|api, _| api.send(0, Opaque, Delay::Delta)));
+    /// ```
+    ///
+    /// [`Codec`]: crate::snapshot::Codec
+    pub fn send<P: Payload>(&mut self, target: ComponentId, payload: P, delay: Delay) {
         self.st.check_target(target);
         let me = self.me;
         self.st.schedule(
@@ -926,7 +699,7 @@ impl Api<'_> {
     }
 
     /// Send a user payload after a plain duration.
-    pub fn send_in<P: Any>(&mut self, target: ComponentId, payload: P, after: SimDuration) {
+    pub fn send_in<P: Payload>(&mut self, target: ComponentId, payload: P, after: SimDuration) {
         self.send(target, payload, Delay::Time(after));
     }
 
@@ -1215,6 +988,9 @@ pub struct Simulator {
     /// so the dispatch loop reuses two buffers forever instead of
     /// allocating one per delta cycle.
     runnable: Vec<Delivery>,
+    /// The payload decoders the components declared, for rebuilding
+    /// in-flight messages on restore.
+    decoders: DecoderTable,
     /// When set, running *under a horizon* with outstanding obligations and
     /// no local work returns `TimeLimit` instead of a deadlock error — a
     /// shard may be waiting on a cross-shard reply its coordinator injects
@@ -1262,6 +1038,7 @@ impl Simulator {
             captured: Vec::new(),
             current_doc_hash: None,
             runnable: Vec::new(),
+            decoders: DecoderTable::default(),
             defer_deadlock: false,
         }
     }
@@ -1269,6 +1046,7 @@ impl Simulator {
     /// Register a component; returns its id. Must be called before `run`.
     pub fn add_component(&mut self, name: &str, comp: Box<dyn Component>) -> ComponentId {
         assert!(!self.started, "cannot add components after the run started");
+        self.decoders.add(comp.decoders());
         self.comps.push(CompSlot {
             name: name.to_string(),
             comp: Some(comp),
@@ -1284,7 +1062,7 @@ impl Simulator {
     }
 
     /// Register a signal channel.
-    pub fn add_signal<T: SignalValue>(&mut self, name: &str, init: T) -> SignalRef<T> {
+    pub fn add_signal<T: SnapPrim>(&mut self, name: &str, init: T) -> SignalRef<T> {
         self.st
             .signals
             .push(Box::new(SignalSlot::new(name.to_string(), init)));
@@ -1293,7 +1071,7 @@ impl Simulator {
     }
 
     /// Register a bounded FIFO channel.
-    pub fn add_fifo<T: 'static>(&mut self, name: &str, capacity: usize) -> FifoRef<T> {
+    pub fn add_fifo<T: SnapPrim>(&mut self, name: &str, capacity: usize) -> FifoRef<T> {
         self.st
             .fifos
             .push(Box::new(FifoSlot::<T>::new(name.to_string(), capacity)));
@@ -1538,7 +1316,7 @@ impl Simulator {
 
     /// Schedule an initial user payload before the run starts (testbench
     /// stimulus).
-    pub fn post<P: Any>(&mut self, target: ComponentId, payload: P, delay: Delay) {
+    pub fn post<P: Payload>(&mut self, target: ComponentId, payload: P, delay: Delay) {
         self.st.check_target(target);
         self.st.schedule(
             delay,
@@ -1667,7 +1445,7 @@ impl Simulator {
                         },
                     )
                     .with("background", Json::Bool(e.delivery.background))
-                    .with("kind", msg_kind_json(&e.delivery.msg.kind)?),
+                    .with("kind", msg_kind_json(&e.delivery.msg.kind)),
             );
         }
 
@@ -1692,14 +1470,13 @@ impl Simulator {
             })
             .collect();
 
-        let mut signals = Vec::with_capacity(self.st.signals.len());
-        for (i, s) in self.st.signals.iter().enumerate() {
-            signals.push(signal_snapshot(i, s.as_ref())?);
-        }
-        let mut fifos = Vec::with_capacity(self.st.fifos.len());
-        for (i, f) in self.st.fifos.iter().enumerate() {
-            fifos.push(fifo_snapshot(i, f.as_ref())?);
-        }
+        let signals = self
+            .st
+            .signals
+            .iter()
+            .map(|s| s.snapshot_json())
+            .collect::<SimResult<Vec<Json>>>()?;
+        let fifos: Vec<Json> = self.st.fifos.iter().map(|f| f.snapshot_json()).collect();
 
         let mut components = Vec::with_capacity(self.comps.len());
         for slot in &mut self.comps {
@@ -1933,7 +1710,7 @@ impl Simulator {
         for_entries(j, "signals", st.signals.len(), delta, |i, sj| {
             if wanted(st.signal_touched[i]) {
                 check_name("signal", i, st.signals[i].name(), sj)?;
-                signal_restore(i, st.signals[i].as_mut(), sj)?;
+                st.signals[i].restore_json(sj)?;
                 st.signal_touched[i] = gen;
             }
             Ok(())
@@ -1941,7 +1718,7 @@ impl Simulator {
         for_entries(j, "fifos", st.fifos.len(), delta, |i, fj| {
             if wanted(st.fifo_touched[i]) {
                 check_name("fifo", i, st.fifos[i].name(), fj)?;
-                fifo_restore(i, st.fifos[i].as_mut(), fj)?;
+                st.fifos[i].restore_json(fj)?;
                 st.fifo_touched[i] = gen;
             }
             Ok(())
@@ -1994,7 +1771,7 @@ impl Simulator {
                     target,
                     msg: Msg {
                         source,
-                        kind: msg_kind_of(snap::field(ej, "kind")?)?,
+                        kind: msg_kind_of(snap::field(ej, "kind")?, &self.decoders)?,
                     },
                     background: snap::bool_field(ej, "background")?,
                 },
@@ -2565,23 +2342,21 @@ mod tests {
 
     #[test]
     fn user_messages_round_trip_between_components() {
-        #[derive(Debug, PartialEq)]
-        struct Ping(u32);
-        #[derive(Debug, PartialEq)]
-        struct Pong(u32);
+        // Any payload types will do; the semaphore's are at hand.
+        use crate::sync::{SemGranted as Pong, SemWait as Ping};
 
         struct Responder;
         impl Component for Responder {
             fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
-                if let Ok(Ping(v)) = msg.user::<Ping>() {
+                if let Ok(Ping { tag }) = msg.user::<Ping>() {
                     let src = 0; // requester id is 0 by construction
-                    api.send_in(src, Pong(v * 2), SimDuration::ns(5));
+                    api.send_in(src, Pong { tag: tag * 2 }, SimDuration::ns(5));
                 }
             }
         }
 
         struct Requester {
-            got: Option<(SimTime, u32)>,
+            got: Option<(SimTime, u64)>,
             responder: ComponentId,
         }
         impl Component for Requester {
@@ -2589,11 +2364,11 @@ mod tests {
                 match &msg.kind {
                     MsgKind::Start => {
                         let r = self.responder;
-                        api.send_in(r, Ping(21), SimDuration::ns(5));
+                        api.send_in(r, Ping { tag: 21 }, SimDuration::ns(5));
                     }
                     _ => {
-                        if let Ok(Pong(v)) = msg.user::<Pong>() {
-                            self.got = Some((api.now(), v));
+                        if let Ok(Pong { tag }) = msg.user::<Pong>() {
+                            self.got = Some((api.now(), tag));
                         }
                     }
                 }
@@ -2756,7 +2531,7 @@ mod tests {
                 match msg.kind {
                     MsgKind::Start | MsgKind::User(_) => {
                         let p = self.peer;
-                        api.send(p, (), Delay::Delta);
+                        api.send(p, crate::sync::SemPost, Delay::Delta);
                     }
                     _ => {}
                 }
@@ -2828,17 +2603,17 @@ mod tests {
     #[test]
     fn post_injects_external_stimulus() {
         let mut sim = Simulator::new();
-        let seen = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let seen = std::rc::Rc::new(std::cell::Cell::new(0u64));
         let s2 = seen.clone();
         let id = sim.add(
             "sink",
             FnComponent::new(move |_api, msg| {
-                if let Some(v) = msg.user_ref::<u32>() {
-                    s2.set(*v);
+                if let Some(w) = msg.user_ref::<crate::sync::SemWait>() {
+                    s2.set(w.tag);
                 }
             }),
         );
-        sim.post(id, 99u32, Delay::ns(4));
+        sim.post(id, crate::sync::SemWait { tag: 99 }, Delay::ns(4));
         ok(sim.run());
         assert_eq!(seen.get(), 99);
     }

@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use crate::signal::SignalRef;
     pub use crate::snapshot::{
-        ChainDoc, PayloadCodec, Snapshot, SnapshotChain, SnapshotDelta, Snapshotable,
+        ChainDoc, Codec, Decoder, Payload, Snapshot, SnapshotChain, SnapshotDelta, Snapshotable,
     };
     pub use crate::stats::{BusyTracker, DispatchProfile, LatencyHistogram, Summary};
     pub use crate::sync::{SemGranted, SemPost, SemWait, Semaphore};

@@ -56,7 +56,7 @@ use crate::error::{SimError, SimErrorKind, SimResult};
 use crate::event::{ComponentId, Delay, Msg, StopReason};
 use crate::json::{ju64, ju64_of, Json};
 use crate::kernel::{Api, KernelMetrics, Simulator};
-use crate::snapshot::{register_payload_codec, PayloadCodec};
+use crate::snapshot::{Codec, Decoder};
 use crate::time::{SimDuration, SimTime};
 
 /// A message crossing a shard boundary: plain `Send` data, no trait
@@ -1000,44 +1000,57 @@ impl Component for LinkEgress {
     fn restore(&mut self, _state: &Json) -> SimResult<()> {
         Ok(())
     }
-}
 
-/// Codec so [`LinkPacket`]s pending in a timed queue survive snapshots and
-/// participate in state hashes.
-fn link_packet_codec() -> PayloadCodec {
-    PayloadCodec {
-        name: "drcf-shard-link-packet",
-        encode: |any| {
-            let p = any.downcast_ref::<LinkPacket>()?;
-            Some(
-                Json::obj()
-                    .with("link", ju64(p.link as u64))
-                    .with("seq", ju64(p.seq))
-                    .with("tag", ju64(p.msg.tag))
-                    .with(
-                        "words",
-                        Json::Arr(p.msg.words.iter().map(|&w| ju64(w)).collect()),
-                    ),
-            )
-        },
-        decode: |data| {
-            let link = ju64_of(data.get("link")?)? as usize;
-            let seq = ju64_of(data.get("seq")?)?;
-            let tag = ju64_of(data.get("tag")?)?;
-            let words = data
-                .get("words")?
-                .as_arr()?
-                .iter()
-                .map(ju64_of)
-                .collect::<Option<Vec<u64>>>()?;
-            Some(Box::new(LinkPacket {
-                link,
-                seq,
-                msg: LinkMsg { tag, words },
-            }))
-        },
+    fn decoders(&self) -> &'static [Decoder] {
+        LINK_DECODERS
     }
 }
+
+/// A [`LinkMsg`] only ever waits a delta for its egress, so a snapshot
+/// (taken between run slices) never finds one in flight; the codec exists
+/// because every payload has one.
+impl Codec for LinkMsg {
+    const NAME: &'static str = "drcf-shard-link-msg";
+    fn encode(&self) -> Json {
+        Json::obj().with("tag", ju64(self.tag)).with(
+            "words",
+            Json::Arr(self.words.iter().map(|&w| ju64(w)).collect()),
+        )
+    }
+    fn decode(data: &Json) -> Option<LinkMsg> {
+        Some(LinkMsg {
+            tag: ju64_of(data.get("tag")?)?,
+            words: crate::snapshot::u64_list(data, "words").ok()?,
+        })
+    }
+}
+
+/// [`LinkPacket`]s pending in a timed queue survive snapshots and take part
+/// in state hashes.
+impl Codec for LinkPacket {
+    const NAME: &'static str = "drcf-shard-link-packet";
+    fn encode(&self) -> Json {
+        Json::obj()
+            .with("link", ju64(self.link as u64))
+            .with("seq", ju64(self.seq))
+            .with("tag", ju64(self.msg.tag))
+            .with(
+                "words",
+                Json::Arr(self.msg.words.iter().map(|&w| ju64(w)).collect()),
+            )
+    }
+    fn decode(data: &Json) -> Option<LinkPacket> {
+        Some(LinkPacket {
+            link: ju64_of(data.get("link")?)? as usize,
+            seq: ju64_of(data.get("seq")?)?,
+            msg: LinkMsg::decode(data)?,
+        })
+    }
+}
+
+/// Decoders for the link payloads: declared by the egress component and by
+/// every model component that receives [`LinkPacket`]s.
+pub const LINK_DECODERS: &[Decoder] = &[Decoder::of::<LinkMsg>(), Decoder::of::<LinkPacket>()];
 
 // ---------------------------------------------------------------------------
 // Per-LP runtime (lives on exactly one thread)
@@ -1088,7 +1101,6 @@ fn build_lp(
     links: &[LinkInfo],
     trace_capacity: Option<usize>,
 ) -> SimResult<LpRuntime> {
-    register_payload_codec(link_packet_codec());
     let mut sim = Simulator::new();
     sim.set_defer_deadlock(true);
     if let Some(cap) = trace_capacity {

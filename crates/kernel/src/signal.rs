@@ -11,7 +11,10 @@ use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
 
+use crate::error::SimResult;
 use crate::event::{ComponentId, SignalIdx};
+use crate::json::{ju64, Json};
+use crate::snapshot::{self as snap, SnapPrim};
 use crate::time::SimTime;
 use crate::trace::{TraceValue, Traceable};
 
@@ -67,7 +70,6 @@ pub(crate) struct SignalSlot<T: SignalValue> {
 
 /// Type-erased view the kernel uses during the update phase.
 pub(crate) trait AnySignalSlot: Any {
-    #[allow(dead_code)]
     fn name(&self) -> &str;
     /// Apply a pending write. Returns `true` when the visible value changed.
     fn apply_update(&mut self, now: SimTime) -> bool;
@@ -75,11 +77,15 @@ pub(crate) trait AnySignalSlot: Any {
     fn subscribe(&mut self, c: ComponentId);
     /// Sample for tracing, when tracing is enabled on this signal.
     fn trace_sample(&self) -> Option<(usize, TraceValue)>;
+    /// The slot's snapshot entry; refused while a write is unapplied.
+    fn snapshot_json(&self) -> SimResult<Json>;
+    /// Restore the slot from an entry written by `snapshot_json`.
+    fn restore_json(&mut self, state: &Json) -> SimResult<()>;
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<T: SignalValue> AnySignalSlot for SignalSlot<T> {
+impl<T: SnapPrim> AnySignalSlot for SignalSlot<T> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -108,6 +114,39 @@ impl<T: SignalValue> AnySignalSlot for SignalSlot<T> {
 
     fn trace_sample(&self) -> Option<(usize, TraceValue)> {
         self.trace.map(|(var, f)| (var, f(&self.current)))
+    }
+
+    fn snapshot_json(&self) -> SimResult<Json> {
+        if self.pending.is_some() {
+            return Err(snap::err(format!(
+                "signal {:?} has an unapplied write; snapshot only between run slices",
+                self.name
+            )));
+        }
+        Ok(Json::obj()
+            .with("name", Json::from(self.name.as_str()))
+            .with("type", Json::from(T::TAG))
+            .with("current", self.current.enc())
+            .with("change_count", ju64(self.change_count))
+            .with("last_change", ju64(self.last_change.0))
+            .with("subs", snap::usize_list_json(&self.subscribers)))
+    }
+
+    fn restore_json(&mut self, state: &Json) -> SimResult<()> {
+        snap::check_tag::<T>("signal", &self.name, state)?;
+        let cur = snap::field(state, "current")?;
+        self.current = T::dec(cur).ok_or_else(|| {
+            snap::err(format!(
+                "signal {:?}: bad {} value {cur}",
+                self.name,
+                T::TAG
+            ))
+        })?;
+        self.pending = None;
+        self.change_count = snap::u64_field(state, "change_count")?;
+        self.last_change = SimTime(snap::u64_field(state, "last_change")?);
+        self.subscribers = snap::usize_list(state, "subs")?;
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn Any {

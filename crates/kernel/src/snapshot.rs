@@ -31,18 +31,21 @@
 //! state, and restoring it would duplicate entries already surfaced to the
 //! user when the prefix ran.
 //!
-//! In-flight user payloads (`MsgKind::User(Box<dyn Any>)`) are serialized
-//! through a process-global [`PayloadCodec`] registry; model crates
-//! register codecs for their message types at construction time (see
-//! `drcf-bus`). Payload types without a codec fail the snapshot with a
-//! typed error naming the payload's type id.
+//! In-flight user payloads (`MsgKind::User(Box<dyn Payload>)`) encode
+//! themselves: every type sent through the kernel implements [`Codec`], so
+//! sending a type without one does not compile. Decoding looks the codec
+//! name up in the simulator's own table of [`Decoder`]s, which its
+//! components declare (`Component::decoders`); an unknown name is a typed
+//! error. Signal and FIFO values encode through [`SnapPrim`], the bound of
+//! `add_signal`/`add_fifo`. Nothing here is registered process-wide.
 
 use std::any::Any;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::{SimError, SimErrorKind, SimResult};
-use crate::json::Json;
+use crate::json::{ji64, ji64_of, ju64, ju64_of, Json};
+use crate::signal::SignalValue;
 
 /// Schema identifier embedded in every snapshot document.
 pub const SNAPSHOT_SCHEMA: &str = "drcf-snapshot-v2";
@@ -479,79 +482,189 @@ pub fn err(msg: impl Into<String>) -> SimError {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs
+// Payload and channel-value codecs
 // ---------------------------------------------------------------------------
 
-/// Encoder/decoder pair for one concrete user-payload type.
+/// The snapshot encoding of one message payload type.
 ///
-/// `encode` returns `None` when the payload is not of this codec's type
-/// (the registry probes codecs in registration order); `decode` returns
-/// `None` when the data document is malformed.
-#[derive(Clone, Copy)]
-pub struct PayloadCodec {
+/// [`Api::send`](crate::kernel::Api::send) accepts only [`Payload`]s, which
+/// every `Codec` type is, so a payload caught in flight by a snapshot
+/// always encodes: a type without a codec is a compile error, not a failed
+/// snapshot. The document form is `{"codec": NAME, "data": encode()}`;
+/// decoding goes through the [`Decoder`]s the receiving components declare
+/// ([`Component::decoders`](crate::component::Component::decoders)).
+pub trait Codec: Any + Sized {
     /// Stable codec name, written into the snapshot document.
-    pub name: &'static str,
-    /// Try to encode a payload of this codec's type.
-    pub encode: fn(&dyn Any) -> Option<Json>,
-    /// Decode a document written by `encode` into a fresh boxed payload.
-    pub decode: fn(&Json) -> Option<Box<dyn Any>>,
+    const NAME: &'static str;
+    /// The payload's data document.
+    fn encode(&self) -> Json;
+    /// Decode a data document written by [`Codec::encode`]; `None` when it
+    /// is malformed.
+    fn decode(data: &Json) -> Option<Self>;
 }
 
-impl std::fmt::Debug for PayloadCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PayloadCodec({})", self.name)
-    }
-}
-
-fn codec_registry() -> &'static Mutex<Vec<PayloadCodec>> {
-    static REGISTRY: OnceLock<Mutex<Vec<PayloadCodec>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Register a payload codec process-wide. Registering the same name twice
-/// is idempotent (the first registration wins), so model constructors can
-/// call this unconditionally.
-pub fn register_payload_codec(codec: PayloadCodec) {
-    let Ok(mut reg) = codec_registry().lock() else {
-        return; // a poisoned registry only ever loses idempotent re-adds
+/// Implement [`Codec`] for a struct whose named fields are all
+/// [`SnapPrim`] values: the document is an object with one entry per
+/// field, in the order given.
+///
+/// ```
+/// struct Done {
+///     tag: u64,
+///     words: usize,
+/// }
+/// drcf_kernel::field_codec!(Done, "doc.Done", tag, words);
+/// ```
+#[macro_export]
+macro_rules! field_codec {
+    ($t:ty, $name:literal, $($f:ident),+) => {
+        impl $crate::snapshot::Codec for $t {
+            const NAME: &'static str = $name;
+            fn encode(&self) -> $crate::json::Json {
+                $crate::json::Json::obj()
+                    $(.with(stringify!($f), $crate::snapshot::SnapPrim::enc(&self.$f)))+
+            }
+            fn decode(data: &$crate::json::Json) -> Option<Self> {
+                Some(Self {
+                    $($f: $crate::snapshot::SnapPrim::dec(data.get(stringify!($f))?)?),+
+                })
+            }
+        }
     };
-    if !reg.iter().any(|c| c.name == codec.name) {
-        reg.push(codec);
+}
+
+/// The object-safe face of a [`Codec`]: what `MsgKind::User` holds.
+pub trait Payload: Any {
+    /// The codec name ([`Codec::NAME`]).
+    fn codec_name(&self) -> &'static str;
+    /// The data document ([`Codec::encode`]).
+    fn encode_data(&self) -> Json;
+}
+
+impl<T: Codec> Payload for T {
+    fn codec_name(&self) -> &'static str {
+        T::NAME
+    }
+
+    fn encode_data(&self) -> Json {
+        self.encode()
     }
 }
 
-/// Encode an in-flight user payload via the codec registry. The result is
-/// `{"codec": <name>, "data": <codec document>}`.
-pub fn encode_payload(payload: &dyn Any) -> SimResult<Json> {
-    let reg = codec_registry()
-        .lock()
-        .map_err(|_| err("payload codec registry poisoned"))?;
-    for c in reg.iter() {
-        if let Some(data) = (c.encode)(payload) {
-            return Ok(Json::obj()
-                .with("codec", Json::from(c.name))
-                .with("data", data));
+/// Decodes one payload type, found by its codec name. A crate exports its
+/// payload types' decoders as one `const` slice of [`Decoder::of`].
+#[derive(Clone, Copy)]
+pub struct Decoder {
+    /// The codec name ([`Codec::NAME`]).
+    pub name: &'static str,
+    /// Decode a data document into a fresh boxed payload.
+    pub decode: fn(&Json) -> Option<Box<dyn Payload>>,
+}
+
+fn decode_boxed<T: Codec>(data: &Json) -> Option<Box<dyn Payload>> {
+    Some(Box::new(T::decode(data)?))
+}
+
+impl Decoder {
+    /// The decoder of payload type `T`.
+    pub const fn of<T: Codec>() -> Decoder {
+        Decoder {
+            name: T::NAME,
+            decode: decode_boxed::<T>,
         }
     }
-    Err(err(format!(
-        "no payload codec registered for in-flight message (type id {:?}); \
-         register a PayloadCodec before snapshotting",
-        payload.type_id()
-    )))
 }
 
-/// Decode a payload document written by [`encode_payload`].
-pub fn decode_payload(doc: &Json) -> SimResult<Box<dyn Any>> {
-    let name = str_field(doc, "codec")?;
-    let data = field(doc, "data")?;
-    let reg = codec_registry()
-        .lock()
-        .map_err(|_| err("payload codec registry poisoned"))?;
-    let codec = reg
-        .iter()
-        .find(|c| c.name == name)
-        .ok_or_else(|| err(format!("unknown payload codec {name:?}")))?;
-    (codec.decode)(data).ok_or_else(|| err(format!("payload codec {name:?} rejected its data")))
+/// `{"codec": <name>, "data": <codec document>}` of an in-flight payload.
+pub(crate) fn payload_json(payload: &dyn Payload) -> Json {
+    Json::obj()
+        .with("codec", Json::from(payload.codec_name()))
+        .with("data", payload.encode_data())
+}
+
+/// The decoders one simulator knows: the slices its components declared.
+#[derive(Default)]
+pub(crate) struct DecoderTable {
+    slices: Vec<&'static [Decoder]>,
+}
+
+impl DecoderTable {
+    /// Add a component's declared slice. A slice already in the table is
+    /// skipped by address, which costs nothing per component; a copy that
+    /// slips through only repeats names, and the first match wins.
+    pub(crate) fn add(&mut self, decoders: &'static [Decoder]) {
+        if !decoders.is_empty() && !self.slices.iter().any(|s| std::ptr::eq(*s, decoders)) {
+            self.slices.push(decoders);
+        }
+    }
+
+    /// Decode a payload document written by [`payload_json`]. A codec name
+    /// no slice declares is a typed error.
+    pub(crate) fn decode(&self, doc: &Json) -> SimResult<Box<dyn Payload>> {
+        let name = str_field(doc, "codec")?;
+        let data = field(doc, "data")?;
+        let decoder = self
+            .slices
+            .iter()
+            .flat_map(|s| s.iter())
+            .find(|d| d.name == name)
+            .ok_or_else(|| err(format!("unknown payload codec {name:?}")))?;
+        (decoder.decode)(data)
+            .ok_or_else(|| err(format!("payload codec {name:?} rejected its data")))
+    }
+}
+
+/// Value types a signal or FIFO can carry: each writes its values, tagged
+/// with [`SnapPrim::TAG`], into the snapshot document.
+/// [`Simulator::add_signal`](crate::kernel::Simulator::add_signal) and
+/// [`Simulator::add_fifo`](crate::kernel::Simulator::add_fifo) require it,
+/// so every channel can be captured; restoring an entry whose tag is not
+/// the channel's own is a typed error.
+pub trait SnapPrim: SignalValue {
+    /// Type tag written beside the channel's values.
+    const TAG: &'static str;
+    /// Encode one value.
+    fn enc(&self) -> Json;
+    /// Decode one value; `None` when it is malformed or out of range.
+    fn dec(j: &Json) -> Option<Self>;
+}
+
+macro_rules! snap_prim {
+    ($($t:ty => $tag:literal, |$v:ident| $enc:expr, |$j:ident| $dec:expr;)*) => {$(
+        impl SnapPrim for $t {
+            const TAG: &'static str = $tag;
+            fn enc(&self) -> Json {
+                let $v = *self;
+                $enc
+            }
+            fn dec($j: &Json) -> Option<$t> {
+                $dec
+            }
+        }
+    )*};
+}
+
+snap_prim! {
+    bool => "bool", |v| Json::Bool(v), |j| j.as_bool();
+    u8 => "u8", |v| Json::Num(v.into()), |j| u8::try_from(j.as_u64()?).ok();
+    u16 => "u16", |v| Json::Num(v.into()), |j| u16::try_from(j.as_u64()?).ok();
+    u32 => "u32", |v| Json::Num(v.into()), |j| u32::try_from(j.as_u64()?).ok();
+    u64 => "u64", |v| ju64(v), |j| ju64_of(j);
+    usize => "usize", |v| ju64(v as u64), |j| usize::try_from(ju64_of(j)?).ok();
+    i32 => "i32", |v| Json::Num(v.into()), |j| i32::try_from(ji64_of(j)?).ok();
+    i64 => "i64", |v| ji64(v), |j| ji64_of(j);
+    f64 => "f64", |v| Json::Num(v), |j| j.as_f64();
+}
+
+/// Check a channel entry's type tag against the channel's own `T`.
+pub(crate) fn check_tag<T: SnapPrim>(what: &str, name: &str, state: &Json) -> SimResult<()> {
+    let tag = str_field(state, "type")?;
+    if tag == T::TAG {
+        return Ok(());
+    }
+    Err(err(format!(
+        "unknown {what} type tag {tag:?} ({what} {name:?} holds {})",
+        T::TAG
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -664,37 +777,43 @@ mod tests {
         a: u64,
     }
 
-    fn test_codec() -> PayloadCodec {
-        PayloadCodec {
-            name: "test-payload",
-            encode: |any| {
-                let p = any.downcast_ref::<TestPayload>()?;
-                Some(Json::obj().with("a", crate::json::ju64(p.a)))
-            },
-            decode: |data| {
-                let a = crate::json::ju64_of(data.get("a")?)?;
-                Some(Box::new(TestPayload { a }))
-            },
+    impl Codec for TestPayload {
+        const NAME: &'static str = "test-payload";
+        fn encode(&self) -> Json {
+            Json::obj().with("a", ju64(self.a))
         }
+        fn decode(data: &Json) -> Option<TestPayload> {
+            Some(TestPayload {
+                a: ju64_of(data.get("a")?)?,
+            })
+        }
+    }
+
+    const TEST_DECODERS: &[Decoder] = &[Decoder::of::<TestPayload>()];
+
+    fn table() -> DecoderTable {
+        let mut t = DecoderTable::default();
+        t.add(TEST_DECODERS);
+        t.add(TEST_DECODERS);
+        t.add(&[]);
+        t
     }
 
     #[test]
     fn payload_codec_round_trips() {
-        register_payload_codec(test_codec());
-        register_payload_codec(test_codec()); // idempotent
-        let doc = encode_payload(&TestPayload { a: 1 << 60 }).unwrap();
+        let t = table();
+        let doc = payload_json(&TestPayload { a: 1 << 60 });
         assert_eq!(doc.get("codec").unwrap().as_str(), Some("test-payload"));
-        let back = decode_payload(&doc).unwrap();
-        let p = back.downcast_ref::<TestPayload>().unwrap();
-        assert_eq!(p, &TestPayload { a: 1 << 60 });
-    }
-
-    #[test]
-    fn unregistered_payload_is_a_typed_error() {
-        struct Opaque;
-        let e = encode_payload(&Opaque).unwrap_err();
-        assert_eq!(e.kind, SimErrorKind::Validation);
-        assert!(e.message.contains("no payload codec"));
+        let back = t.decode(&doc).unwrap();
+        let p = (back.as_ref() as &dyn Any).downcast_ref::<TestPayload>();
+        assert_eq!(p, Some(&TestPayload { a: 1 << 60 }));
+        let bad = Json::obj()
+            .with("codec", Json::from("test-payload"))
+            .with("data", Json::obj());
+        let Err(e) = t.decode(&bad) else {
+            panic!("malformed data decoded")
+        };
+        assert!(e.message.contains("rejected its data"), "{e}");
     }
 
     #[test]
@@ -702,7 +821,13 @@ mod tests {
         let doc = Json::obj()
             .with("codec", Json::from("no-such-codec"))
             .with("data", Json::obj());
-        assert!(decode_payload(&doc).is_err());
+        for t in [DecoderTable::default(), table()] {
+            let Err(e) = t.decode(&doc) else {
+                panic!("unknown codec decoded")
+            };
+            assert_eq!(e.kind, SimErrorKind::Validation);
+            assert!(e.message.contains("unknown payload codec"), "{e}");
+        }
     }
 
     #[test]

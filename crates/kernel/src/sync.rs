@@ -10,8 +10,11 @@
 use std::collections::VecDeque;
 
 use crate::component::Component;
+use crate::error::SimResult;
 use crate::event::{ComponentId, Delay, Msg, MsgKind};
+use crate::json::{ju64, Json};
 use crate::kernel::Api;
+use crate::snapshot::{self as snap, Codec, Decoder};
 
 /// Request one unit of the semaphore. The requester receives
 /// [`SemGranted`] with the same `tag` once a unit is available. The
@@ -33,6 +36,27 @@ pub struct SemGranted {
     /// Tag from the wait.
     pub tag: u64,
 }
+
+crate::field_codec!(SemWait, "sync.SemWait", tag);
+
+impl Codec for SemPost {
+    const NAME: &'static str = "sync.SemPost";
+    fn encode(&self) -> Json {
+        Json::Null
+    }
+    fn decode(data: &Json) -> Option<SemPost> {
+        matches!(data, Json::Null).then_some(SemPost)
+    }
+}
+
+crate::field_codec!(SemGranted, "sync.SemGranted", tag);
+
+/// Decoders for the semaphore's payloads.
+pub const SYNC_DECODERS: &[Decoder] = &[
+    Decoder::of::<SemWait>(),
+    Decoder::of::<SemPost>(),
+    Decoder::of::<SemGranted>(),
+];
 
 /// Counting semaphore component (a binary semaphore is a mutex).
 pub struct Semaphore {
@@ -115,6 +139,36 @@ impl Component for Semaphore {
                 self.count += 1;
             }
         }
+    }
+
+    fn snapshot(&mut self) -> SimResult<Json> {
+        let (to, tags): (Vec<ComponentId>, Vec<u64>) = self.waiters.iter().copied().unzip();
+        Ok(Json::obj()
+            .with("count", ju64(self.count.into()))
+            .with("waiters", snap::usize_list_json(&to))
+            .with("tags", Json::Arr(tags.into_iter().map(ju64).collect()))
+            .with("grants", ju64(self.grants))
+            .with("max_queue", ju64(self.max_queue as u64)))
+    }
+
+    fn restore(&mut self, state: &Json) -> SimResult<()> {
+        let count = snap::u64_field(state, "count")?;
+        self.count = u32::try_from(count).map_err(|_| snap::err("semaphore count exceeds u32"))?;
+        let (to, tags) = (
+            snap::usize_list(state, "waiters")?,
+            snap::u64_list(state, "tags")?,
+        );
+        if to.len() != tags.len() {
+            return Err(snap::err("semaphore waiters and tags differ in length"));
+        }
+        self.waiters = to.into_iter().zip(tags).collect();
+        self.grants = snap::u64_field(state, "grants")?;
+        self.max_queue = snap::usize_field(state, "max_queue")?;
+        Ok(())
+    }
+
+    fn decoders(&self) -> &'static [Decoder] {
+        SYNC_DECODERS
     }
 }
 

@@ -6,35 +6,31 @@
 //! component state — to a single straight run to `t2`. The snapshot also
 //! survives a text round-trip (`to_text` → `parse`).
 
-use std::sync::Once;
+use std::any::Any;
 
 use drcf_kernel::prelude::*;
-use drcf_kernel::snapshot::{self, PayloadCodec};
+use drcf_kernel::snapshot;
 use proptest::prelude::*;
 
 /// User-payload message exercised through the timed queue: a snapshot taken
-/// while one of these is in flight must encode it via the codec registry.
+/// while one of these is in flight must encode it through its codec.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Ping {
     serial: u64,
 }
 
-fn register_ping_codec() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        snapshot::register_payload_codec(PayloadCodec {
-            name: "test.Ping",
-            encode: |any| {
-                any.downcast_ref::<Ping>()
-                    .map(|p| Json::obj().with("serial", drcf_kernel::json::ju64(p.serial)))
-            },
-            decode: |j| {
-                let serial = drcf_kernel::json::ju64_of(j.get("serial")?)?;
-                Some(Box::new(Ping { serial }))
-            },
-        });
-    });
+impl Codec for Ping {
+    const NAME: &'static str = "test.Ping";
+    fn encode(&self) -> Json {
+        Json::obj().with("serial", drcf_kernel::json::ju64(self.serial))
+    }
+    fn decode(data: &Json) -> Option<Ping> {
+        let serial = drcf_kernel::json::ju64_of(data.get("serial")?)?;
+        Some(Ping { serial })
+    }
 }
+
+const PING_DECODERS: &[Decoder] = &[Decoder::of::<Ping>()];
 
 /// A clocked worker with private counters the kernel cannot see — the part
 /// of the state space `Component::snapshot` exists for. It writes a signal,
@@ -88,7 +84,7 @@ impl Component for Worker {
                 self.watchdog = Some(api.timer_cancellable(SimDuration::ns(500), 0xDEAD));
             }
             MsgKind::User(p) => {
-                if let Some(ping) = p.downcast_ref::<Ping>() {
+                if let Some(ping) = (p.as_ref() as &dyn Any).downcast_ref::<Ping>() {
                     self.pings += ping.serial;
                     api.trace_instant(TraceCategory::Kernel, "ping", ping.serial);
                 }
@@ -126,6 +122,10 @@ impl Component for Worker {
             )),
         };
         Ok(())
+    }
+
+    fn decoders(&self) -> &'static [Decoder] {
+        PING_DECODERS
     }
 }
 
@@ -167,7 +167,6 @@ struct World {
 }
 
 fn build_world() -> World {
-    register_ping_codec();
     let mut sim = Simulator::new();
     sim.enable_trace();
     sim.enable_observe(256);
@@ -294,7 +293,6 @@ fn restore_rejects_mismatched_shape() {
     let snap = w.sim.snapshot().unwrap();
 
     // Same components, one extra signal: shape mismatch must be loud.
-    register_ping_codec();
     let mut other = Simulator::new();
     other.enable_trace();
     other.enable_observe(256);
@@ -325,4 +323,103 @@ fn snapshot_fails_loudly_on_closure_components() {
     let err = sim.snapshot().expect_err("FnComponent snapshot");
     assert_eq!(err.component.as_deref(), Some("opaque"));
     assert!(err.message.contains("does not implement snapshot"), "{err}");
+}
+
+/// Takes a mutex, holds it, and gives it back with a delayed post, so
+/// semaphore messages sit in the timed queue between slices.
+struct SemClient {
+    sem: ComponentId,
+    offset_ns: u64,
+    rounds: u64,
+    granted: u64,
+}
+
+impl Component for SemClient {
+    fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
+        if matches!(msg.kind, MsgKind::Start) {
+            let wait = SemWait { tag: 0 };
+            api.send_in(self.sem, wait, SimDuration::ns(self.offset_ns));
+        } else if msg.user_ref::<SemGranted>().is_some() {
+            self.granted += 1;
+            api.send_in(self.sem, SemPost, SimDuration::ns(7));
+            if self.granted < self.rounds {
+                let wait = SemWait { tag: self.granted };
+                api.send_in(self.sem, wait, SimDuration::ns(3));
+            }
+        }
+    }
+
+    fn snapshot(&mut self) -> SimResult<Json> {
+        Ok(Json::obj().with("granted", drcf_kernel::json::ju64(self.granted)))
+    }
+
+    fn restore(&mut self, state: &Json) -> SimResult<()> {
+        self.granted = snapshot::u64_field(state, "granted")?;
+        Ok(())
+    }
+}
+
+fn sem_world() -> Simulator {
+    let mut sim = Simulator::new();
+    let sem = sim.add("mutex", Semaphore::mutex());
+    for (i, offset_ns) in [2, 5, 6].into_iter().enumerate() {
+        let client = SemClient {
+            sem,
+            offset_ns,
+            rounds: 4,
+            granted: 0,
+        };
+        sim.add(&format!("client{i}"), client);
+    }
+    sim
+}
+
+/// What a finished semaphore run must agree on: the kernel counters, the
+/// grant statistics and the final state hash.
+fn sem_outcome(sim: &mut Simulator) -> (u64, u64, u64, u64, u64, usize, u64) {
+    let m = sim.metrics();
+    let sem = sim.get::<Semaphore>(0);
+    let (grants, max_queue) = (sem.grants, sem.max_queue);
+    let hash = sim.state_hash().expect("final hash");
+    (
+        m.dispatched,
+        m.delta_cycles,
+        m.timesteps,
+        m.notifications,
+        grants,
+        max_queue,
+        hash,
+    )
+}
+
+/// A `SemWait` or `SemPost` sent with a delay is in the timed queue at a
+/// cut; restoring it mid-flight resumes exactly like the straight run.
+#[test]
+fn timed_semaphore_message_in_flight_survives_a_cut() {
+    let cuts: Vec<(u64, Snapshot)> = (1..60)
+        .map(|cut_ns| {
+            let mut sim = sem_world();
+            sim.run_until(SimTime::ZERO + SimDuration::ns(cut_ns))
+                .expect("prefix run");
+            let text = sim.snapshot().expect("cut").to_text();
+            (cut_ns, Snapshot::parse(&text).expect("text round trip"))
+        })
+        .collect();
+    let in_flight = |name: &str| {
+        cuts.iter()
+            .any(|(_, snap)| snap.json().to_string().contains(name))
+    };
+    assert!(in_flight("sync.SemWait") && in_flight("sync.SemPost"));
+
+    let end = SimTime::ZERO + SimDuration::ns(200);
+    let mut straight = sem_world();
+    straight.run_until(end).expect("straight run");
+    let want = sem_outcome(&mut straight);
+    assert_eq!(want.4, 12, "every client got every round");
+    for (cut_ns, snap) in &cuts {
+        let mut fresh = sem_world();
+        fresh.restore(snap).expect("restore mid-flight");
+        fresh.run_until(end).expect("resumed run");
+        assert_eq!(sem_outcome(&mut fresh), want, "cut at {cut_ns} ns");
+    }
 }

@@ -22,6 +22,9 @@
 //! [`SimErrorKind::SnapshotChain`]/`Validation` error — the serving layer
 //! wipes the entry and re-simulates cold, so corruption costs time, never
 //! correctness.
+//! Each record line carries a checksum over its entry key, fork time,
+//! point and record; a line that fails it is skipped like a torn one, and
+//! its point is re-simulated.
 
 use std::collections::HashMap;
 use std::fs;
@@ -30,8 +33,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use drcf_dse::prelude::{record_jsonl_line, records_from_jsonl, RunRecord};
-use drcf_kernel::json::{self, Json};
+use drcf_dse::prelude::RunRecord;
+use drcf_kernel::json::{self, Fnv1a, Json};
 use drcf_kernel::prelude::{ChainDoc, SimError, SimErrorKind, SimResult};
 
 /// Store format tag; bump when the entry layout changes incompatibly.
@@ -149,6 +152,47 @@ pub struct SnapshotStore {
     root: PathBuf,
     lease_timeout: Duration,
     locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+}
+
+/// FNV-1a over a record line's entry key, fork time, point and the
+/// record's canonical (compact) rendering, as written.
+fn record_sum(key: u64, fork_ns: u64, point: u64, record: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    for v in [key, fork_ns, point] {
+        h.update(&v.to_le_bytes());
+    }
+    h.update(record.as_bytes());
+    h.finish()
+}
+
+/// One line of a record log: `{"point":P,"record":R,"sum":"S"}`, the
+/// completed record for `point` with the [`record_sum`] that ties it to its
+/// entry and fork time. Appended whole, so an interruption loses at most
+/// the line being written.
+fn record_jsonl_line(key: u64, fork_ns: u64, point: u64, record: &RunRecord) -> String {
+    let record = record.to_json().to_string();
+    let sum = record_sum(key, fork_ns, point, &record);
+    format!("{{\"point\":{point},\"record\":{record},\"sum\":\"{sum:016x}\"}}\n")
+}
+
+/// The `(point, record)` of a line written by [`record_jsonl_line`] for
+/// this entry and fork time, or `None` when it is torn, malformed or fails
+/// its checksum. The sum covers the record's bytes as written, so any
+/// change to them fails it.
+fn checked_record(key: u64, fork_ns: u64, line: &str) -> Option<(u64, RunRecord)> {
+    let (point, rest) = line
+        .strip_prefix("{\"point\":")?
+        .split_once(",\"record\":")?;
+    let (record, sum) = rest.rsplit_once(",\"sum\":\"")?;
+    let sum = u64::from_str_radix(sum.strip_suffix("\"}")?, 16).ok()?;
+    let point = point.parse().ok()?;
+    if sum != record_sum(key, fork_ns, point, record) {
+        return None;
+    }
+    Some((
+        point,
+        RunRecord::from_json(&Json::parse(record).ok()?).ok()?,
+    ))
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> SimError {
@@ -280,8 +324,10 @@ impl SnapshotStore {
     }
 
     /// Recover the completed sweep records for one fork time, keyed by
-    /// clock point. Torn trailing lines (from a killed writer) are skipped;
-    /// the second value counts them.
+    /// clock point. A line that does not parse (a torn tail from a killed
+    /// writer), or whose checksum is missing or does not match its entry
+    /// key, fork time, point and record, is skipped, so its point is
+    /// re-simulated; the second value counts the skipped lines.
     pub fn records(&self, key: u64, fork_ns: u64) -> SimResult<(HashMap<u64, RunRecord>, usize)> {
         let path = self.entry_dir(key).join(format!("records-{fork_ns}.jsonl"));
         let text = match fs::read_to_string(&path) {
@@ -289,11 +335,17 @@ impl SnapshotStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((HashMap::new(), 0)),
             Err(e) => return Err(io_err("read", &path, e)),
         };
-        let (pairs, skipped) = records_from_jsonl(&text);
-        Ok((
-            pairs.into_iter().map(|(p, r)| (p as u64, r)).collect(),
-            skipped,
-        ))
+        let mut records = HashMap::new();
+        let mut skipped = 0;
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            match checked_record(key, fork_ns, line) {
+                Some((point, record)) => {
+                    records.insert(point, record);
+                }
+                None => skipped += 1,
+            }
+        }
+        Ok((records, skipped))
     }
 
     /// Durably append one completed record for `(fork_ns, clock)`. One
@@ -315,7 +367,7 @@ impl SnapshotStore {
             .append(true)
             .open(&path)
             .map_err(|e| io_err("open", &path, e))?;
-        f.write_all(record_jsonl_line(clock as usize, record).as_bytes())
+        f.write_all(record_jsonl_line(key, fork_ns, clock, record).as_bytes())
             .map_err(|e| io_err("append", &path, e))?;
         f.sync_all().map_err(|e| io_err("sync", &path, e))
     }

@@ -265,3 +265,34 @@ fn flipped_delta_body_is_recovered() {
     let expect = process_sweep(&fresh.store(), &req).expect("reference sweep");
     assert_eq!(served.records, expect.records, "never a wrong answer");
 }
+
+#[test]
+fn flipped_record_digit_is_resimulated() {
+    // Every 7th digit of the record log is bumped in turn, with the log
+    // kept. Each flipped line fails its checksum, so its point is
+    // re-simulated, and the answer never changes.
+    let scratch = Scratch::new("record-flip");
+    let store = scratch.store();
+    let req = SweepRequest::small(4_000, vec![200, 600]);
+    let pristine = process_sweep(&store, &req).expect("seed sweep");
+    let key = req.key();
+    let path = scratch
+        .entry(key)
+        .join(format!("records-{}.jsonl", req.fork_ns));
+    let log = std::fs::read(&path).expect("read record log");
+    let digits: Vec<usize> = (0..log.len())
+        .filter(|&i| log[i].is_ascii_digit())
+        .step_by(7)
+        .collect();
+    assert!(digits.len() >= 30, "{} flips", digits.len());
+    for i in digits {
+        let mut flipped = log.clone();
+        flipped[i] = b'0' + (flipped[i] - b'0' + 1) % 10;
+        std::fs::write(&path, &flipped).expect("write flipped log");
+        let (_, skipped) = store.records(key, req.fork_ns).expect("records");
+        assert_eq!(skipped, 1, "flip at byte {i}");
+        let served = process_sweep(&store, &req).expect("re-serve");
+        assert_eq!(served.simulated, 1, "flip at byte {i}");
+        assert_eq!(served.records, pristine.records, "flip at byte {i}");
+    }
+}

@@ -374,6 +374,10 @@ impl Cpu {
 }
 
 impl Component for Cpu {
+    fn decoders(&self) -> &'static [drcf_kernel::snapshot::Decoder] {
+        drcf_bus::snapshot::BUS_DECODERS
+    }
+
     fn snapshot(&mut self) -> SimResult<Json> {
         Ok(Json::obj()
             .with("port", self.port.snapshot_json())

@@ -131,10 +131,29 @@ impl Component for FabricTile {
         self.checksum = u64_field(state, "checksum")?;
         Ok(())
     }
+
+    fn decoders(&self) -> &'static [Decoder] {
+        TILE_DECODERS
+    }
 }
 
-/// Intra-tile delta-cycle work marker.
+/// Intra-tile delta-cycle work marker. It only ever waits a delta, so no
+/// snapshot finds one in flight; the codec exists because every payload
+/// has one.
 struct WorkPulse;
+
+impl Codec for WorkPulse {
+    const NAME: &'static str = "soc.WorkPulse";
+    fn encode(&self) -> Json {
+        Json::Null
+    }
+    fn decode(data: &Json) -> Option<WorkPulse> {
+        matches!(data, Json::Null).then_some(WorkPulse)
+    }
+}
+
+/// What a tile receives: its own work pulses and cross-tile packets.
+const TILE_DECODERS: &[Decoder] = &[Decoder::of::<WorkPulse>(), Decoder::of::<LinkPacket>()];
 
 /// A parametric multi-fabric topology: `tiles` fabric tiles in a ring,
 /// each pair joined by a bridge-latency link.
