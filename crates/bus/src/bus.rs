@@ -21,7 +21,7 @@ use crate::arbiter::{Arbiter, ArbiterKind, Candidate};
 use crate::map::AddressMap;
 use crate::monitor::BusStats;
 use crate::protocol::{
-    Addr, BulkAccess, BusOp, BusRequest, BusResponse, BusStatus, ConfigTrain,
+    Addr, BulkAccess, BurstRun, BurstRuns, BusOp, BusRequest, BusResponse, BusStatus, ConfigTrain,
     ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, InFlightBurst, ServeBurst,
     SlaveAccess, SlaveReply, TrainBurst,
 };
@@ -140,8 +140,8 @@ impl SlaveTiming {
     }
 }
 
-/// The four per-burst phase boundaries of one train burst: request granted
-/// at `grant`, slave access delivered at `access`, slave reply back at
+/// The four phase boundaries of one train burst: request granted at
+/// `grant`, slave access delivered at `access`, slave reply back at
 /// `reply`, response delivered to the master at `end` (== next grant).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BurstSched {
@@ -151,25 +151,131 @@ struct BurstSched {
     end: SimTime,
 }
 
-/// An accepted, currently-active configuration train.
+/// The phase durations of one burst shape `(op, words)`.
+#[derive(Debug, Clone, Copy)]
+struct Phases {
+    request: SimDuration,
+    service: SimDuration,
+    response: SimDuration,
+}
+
+impl Phases {
+    fn of(cfg: &BusConfig, timing: &SlaveTiming, op: BusOp, words: usize) -> Phases {
+        Phases {
+            request: cfg.cycles(cfg.request_cycles(op, words)),
+            service: timing.service(op, words),
+            response: cfg.cycles(cfg.response_cycles(op, words)),
+        }
+    }
+
+    /// Grant to response end of a burst that finds the slave free.
+    fn period(&self) -> SimDuration {
+        self.request + self.service + self.response
+    }
+
+    /// The boundaries of a burst granted at `grant` that finds the slave
+    /// free.
+    fn sched(&self, grant: SimTime) -> BurstSched {
+        let access = grant + self.request;
+        let reply = access + self.service;
+        BurstSched {
+            grant,
+            access,
+            reply,
+            end: reply + self.response,
+        }
+    }
+}
+
+/// Walk `runs` behind a first burst that ends at `first_end`: each run
+/// with its bursts' phases, the number of its bursts after the train's
+/// first, and the grant of the first of those. Every burst after the first
+/// is granted at its predecessor's end, past the predecessor's reply, so
+/// it finds the slave free and ends one period later.
+fn lay_out<'a>(
+    cfg: &'a BusConfig,
+    timing: SlaveTiming,
+    runs: &'a BurstRuns,
+    first_end: SimTime,
+) -> impl Iterator<Item = (BurstRun, Phases, usize, SimTime)> + 'a {
+    let mut grant = first_end;
+    runs.runs().iter().enumerate().map(move |(i, &r)| {
+        let p = Phases::of(cfg, &timing, r.op, r.words);
+        let n = r.count - usize::from(i == 0);
+        let at = grant;
+        grant += p.period() * n as u64;
+        (r, p, n, at)
+    })
+}
+
+/// An accepted, currently-active configuration train. Its schedule is
+/// closed form: `first` (the only burst that can wait for the slave)
+/// plus one period per later burst, so every step costs O(runs).
 struct TrainRun {
     master: ComponentId,
     priority: u8,
     tag: u64,
     slave: ComponentId,
+    timing: SlaveTiming,
     started: SimTime,
     /// The slave-occupancy model's value when the window opened, for
     /// rewinding it on a de-coalesce before any burst reached the slave.
     slave_busy_at_start: SimTime,
-    bursts: Vec<TrainBurst>,
-    sched: Vec<BurstSched>,
+    runs: BurstRuns,
+    first: BurstSched,
+    /// When the window closes: the last burst's response end.
+    end: SimTime,
     timer: TimerHandle,
 }
 
 impl TrainRun {
-    /// When the window closes: the last burst's response end.
-    fn end(&self) -> SimTime {
-        self.sched.last().map_or(self.started, |s| s.end)
+    fn laid_out<'a>(
+        &'a self,
+        cfg: &'a BusConfig,
+    ) -> impl Iterator<Item = (BurstRun, Phases, usize, SimTime)> + 'a {
+        lay_out(cfg, self.timing, &self.runs, self.first.end)
+    }
+
+    /// The boundaries of burst `j`, if the train has that many.
+    fn sched(&self, cfg: &BusConfig, j: usize) -> Option<BurstSched> {
+        let Some(mut k) = j.checked_sub(1) else {
+            return Some(self.first);
+        };
+        for (_, p, n, grant) in self.laid_out(cfg) {
+            if k < n {
+                return Some(p.sched(grant + p.period() * k as u64));
+            }
+            k -= n;
+        }
+        None
+    }
+
+    /// How many bursts have ended by `now`.
+    fn done_by(&self, cfg: &BusConfig, now: SimTime) -> usize {
+        if self.first.end > now {
+            return 0;
+        }
+        let mut done = 1;
+        for (_, p, n, grant) in self.laid_out(cfg) {
+            // Every earlier burst has ended, so `grant <= now`.
+            let period = p.period().as_fs();
+            let fit = match now.since(grant).as_fs().checked_div(period) {
+                Some(k) => n.min(k as usize),
+                None => n,
+            };
+            done += fit;
+            if fit < n {
+                break;
+            }
+        }
+        done
+    }
+
+    /// When the last burst's reply is back at the bus.
+    fn last_reply(&self, cfg: &BusConfig) -> SimTime {
+        self.runs.runs().last().map_or(self.first.reply, |r| {
+            self.end - Phases::of(cfg, &self.timing, r.op, r.words).response
+        })
     }
 }
 
@@ -563,102 +669,103 @@ impl Bus {
             || !matches!(self.state, State::Idle)
             || !self.pending.is_empty()
             || self.retry_armed
-            || t.bursts.is_empty()
         {
             return None;
         }
-        let mut slave = None;
-        for b in &t.bursts {
-            if b.words == 0 || self.cfg.fault_at(b.addr, b.words) {
-                return None;
-            }
-            let s = self.map.decode_burst(b.addr, b.words)?;
-            match slave {
-                None => slave = Some(s),
-                Some(prev) if prev != s => return None,
-                _ => {}
-            }
-        }
-        let slave = slave?;
+        let slave = self.runs_slave(&t.runs)?;
         let timing = self.slave_timings.iter().find(|e| e.0 == slave)?.1;
         Some((slave, timing))
     }
 
-    /// A master offered a configuration train: accept it by precomputing
-    /// the whole per-burst phase schedule and arming one timer at the
-    /// window end, or reject it so the master falls back to per-burst.
-    fn train_offered(&mut self, api: &mut Api<'_>, t: ConfigTrain) {
-        let Some((slave, timing)) = self.train_target(api, &t) else {
-            api.send(t.master, ConfigTrainRejected { tag: t.tag }, Delay::Delta);
-            return;
+    /// The one slave every burst of `runs` decodes to, when there is one,
+    /// no burst is empty and none touches an injected fault range. This is
+    /// the per-burst answer, checked once per run and claim crossed: a
+    /// run's bursts tile its span, so a fault range overlaps a burst iff it
+    /// overlaps the span, and a claim the span crosses must hold its bursts
+    /// whole.
+    fn runs_slave(&self, runs: &BurstRuns) -> Option<ComponentId> {
+        let mut slave = None;
+        for r in runs.runs() {
+            let w = r.words as u64;
+            // A fixed run's bursts all cover its first one.
+            let mut left = if r.fixed { 1 } else { r.count as u64 };
+            let span = usize::try_from(left.checked_mul(w)?).ok()?;
+            if w == 0 || self.cfg.fault_at(r.addr, span) {
+                return None;
+            }
+            let mut addr = r.addr;
+            while left > 0 {
+                let claim = self.map.range_of_burst(addr, r.words)?;
+                if *slave.get_or_insert(claim.slave) != claim.slave {
+                    return None;
+                }
+                let fit = ((claim.high - addr - (w - 1)) / w + 1).min(left);
+                left -= fit;
+                if left > 0 {
+                    addr = addr.checked_add(fit * w)?;
+                }
+            }
+        }
+        slave
+    }
+
+    /// Lay out a train of `runs` offered at `started` to a slave whose port
+    /// frees at `slave_busy_at_start`: the first burst's boundaries, the
+    /// only ones that can wait for the slave, and the window end.
+    fn train_window(
+        &self,
+        timing: SlaveTiming,
+        started: SimTime,
+        slave_busy_at_start: SimTime,
+        runs: &BurstRuns,
+    ) -> Option<(BurstSched, SimTime)> {
+        let r = runs.runs().first()?;
+        let p = Phases::of(&self.cfg, &timing, r.op, r.words);
+        let access = started + p.request;
+        let reply = access.max(slave_busy_at_start) + p.service;
+        let first = BurstSched {
+            grant: started,
+            access,
+            reply,
+            end: reply + p.response,
         };
+        let end = lay_out(&self.cfg, timing, runs, first.end)
+            .last()
+            .map_or(first.end, |(_, p, n, grant)| grant + p.period() * n as u64);
+        Some((first, end))
+    }
+
+    /// A master offered a configuration train: accept it by laying out its
+    /// window and arming one timer at the window end, or reject it so the
+    /// master falls back to per-burst.
+    fn train_offered(&mut self, api: &mut Api<'_>, t: ConfigTrain) {
         let now = api.now();
         // The slave may still be draining service from earlier traffic;
         // the first reply can start no earlier than that point.
-        let slave_busy_at_start = self.slave_free_at(slave);
-        let sched = self.train_schedule(timing, now, slave_busy_at_start, &t.bursts);
-        // Non-empty is guaranteed by `train_target`.
-        let end = sched.last().map(|s| s.end).unwrap_or(now);
-        let last_reply = sched.last().map(|s| s.reply).unwrap_or(now);
-        let timer = api.timer_cancellable(end.since(now), TAG_TRAIN_DONE);
-        self.set_slave_busy_until(slave, last_reply);
-        self.train = Some(TrainRun {
+        let accepted = self.train_target(api, &t).and_then(|(slave, timing)| {
+            let slave_busy_at_start = self.slave_free_at(slave);
+            let (first, end) = self.train_window(timing, now, slave_busy_at_start, &t.runs)?;
+            Some((slave, timing, slave_busy_at_start, first, end))
+        });
+        let Some((slave, timing, slave_busy_at_start, first, end)) = accepted else {
+            api.send(t.master, ConfigTrainRejected { tag: t.tag }, Delay::Delta);
+            return;
+        };
+        let train = TrainRun {
             master: t.master,
             priority: t.priority,
             tag: t.tag,
             slave,
+            timing,
             started: now,
             slave_busy_at_start,
-            bursts: t.bursts,
-            sched,
-            timer,
-        });
-    }
-
-    /// The per-burst phase schedule of a train offered at `now` to a slave
-    /// whose port frees at `slave_busy_at_start`: back to back on the bus,
-    /// each reply served in order behind the previous one.
-    fn train_schedule(
-        &self,
-        timing: SlaveTiming,
-        now: SimTime,
-        slave_busy_at_start: SimTime,
-        bursts: &[TrainBurst],
-    ) -> Vec<BurstSched> {
-        // A configuration train's bursts come in at most four shapes
-        // (write or read, full or partial), so cycles convert to time once
-        // per shape, not once per burst.
-        let mut shapes: Vec<(BusOp, usize, [SimDuration; 3])> = Vec::with_capacity(4);
-        let mut sched = Vec::with_capacity(bursts.len());
-        let mut grant = now;
-        let mut slave_free = now.max(slave_busy_at_start);
-        for b in bursts {
-            let [request, service, response] =
-                match shapes.iter().find(|s| s.0 == b.op && s.1 == b.words) {
-                    Some(s) => s.2,
-                    None => {
-                        let d = [
-                            self.cfg.cycles(self.cfg.request_cycles(b.op, b.words)),
-                            timing.service(b.op, b.words),
-                            self.cfg.cycles(self.cfg.response_cycles(b.op, b.words)),
-                        ];
-                        shapes.push((b.op, b.words, d));
-                        d
-                    }
-                };
-            let access = grant + request;
-            let reply = access.max(slave_free) + service;
-            slave_free = reply;
-            let end = reply + response;
-            sched.push(BurstSched {
-                grant,
-                access,
-                reply,
-                end,
-            });
-            grant = end;
-        }
-        sched
+            runs: t.runs,
+            first,
+            end,
+            timer: api.timer_cancellable(end.since(now), TAG_TRAIN_DONE),
+        };
+        self.set_slave_busy_until(slave, train.last_reply(&self.cfg));
+        self.train = Some(train);
     }
 
     /// Replay the request-grant side of one train burst into the stats,
@@ -690,11 +797,12 @@ impl Bus {
         }
     }
 
-    /// Replay the first `upto` bursts of a train as fully completed, in a
-    /// fixed number of statistics updates: per burst, the per-burst world
-    /// records one request and one response, two zero-wait grants at queue
-    /// depth one, the burst's words once, and two busy periods — grant to
-    /// slave access, and reply to response end.
+    /// Replay the first `upto` bursts of a train as fully completed, in
+    /// O(runs) statistics updates: per burst, the per-burst world records
+    /// one request and one response, two zero-wait grants at queue depth
+    /// one, the burst's words once, and two busy periods — grant to slave
+    /// access, and reply to response end. A run's bursts have equal
+    /// periods, so each run adds its busy time at once.
     fn replay_train_prefix(&mut self, tr: &TrainRun, upto: usize) {
         if upto == 0 {
             return;
@@ -704,17 +812,35 @@ impl Bus {
         self.stats.responses += n;
         self.arrivals += 2 * n;
         self.stats.max_queue = self.stats.max_queue.max(1);
-        self.stats.words += tr.bursts[..upto]
-            .iter()
-            .map(|b| b.words as u64)
-            .sum::<u64>();
         self.stats
             .record_grants(tr.master, SimDuration::ZERO, 2 * n);
-        self.stats.busy.add_busy_periods(
-            tr.sched[..upto]
-                .iter()
-                .flat_map(|s| [(s.grant, s.access), (s.reply, s.end)]),
-        );
+        // The first burst's request phase is the one period that can find
+        // the bus already busy; every later period starts from idle.
+        let first = tr.first;
+        self.stats.busy.set_busy(first.grant);
+        self.stats.busy.set_idle(first.access);
+        let mut words = tr.runs.runs().first().map_or(0, |r| r.words as u64);
+        let mut busy = first.end.since(first.reply);
+        let mut last_start = first.reply;
+        let mut left = upto - 1;
+        for (r, p, n, grant) in tr.laid_out(&self.cfg) {
+            let m = n.min(left);
+            if m == 0 {
+                // The first run may hold the first burst alone.
+                if left == 0 {
+                    break;
+                }
+                continue;
+            }
+            words += r.words_of(m);
+            busy += (p.request + p.response) * m as u64;
+            last_start = p.sched(grant + p.period() * (m as u64 - 1)).reply;
+            left -= m;
+        }
+        self.stats.words += words;
+        self.stats
+            .busy
+            .add_busy_periods(2 * n - 1, busy, last_start);
     }
 
     /// The train window elapsed with no interference: replay every burst
@@ -727,21 +853,23 @@ impl Bus {
             );
             return;
         };
-        self.replay_train_prefix(&tr, tr.bursts.len());
-        let words: u64 = tr.bursts.iter().map(|b| b.words as u64).sum();
-        let busy_until = tr.sched.last().map(|s| s.reply).unwrap_or(tr.started);
-        let tag = tr.tag;
-        let master = tr.master;
+        self.replay_train_prefix(&tr, tr.runs.len());
+        let words = tr.runs.words();
+        let busy_until = tr.last_reply(&self.cfg);
         api.send(
             tr.slave,
             BulkAccess {
-                bursts: tr.bursts,
+                runs: tr.runs,
                 busy_until,
                 serve: None,
             },
             Delay::Delta,
         );
-        api.send(master, ConfigTrainDone { tag, words }, Delay::Delta);
+        api.send(
+            tr.master,
+            ConfigTrainDone { tag: tr.tag, words },
+            Delay::Delta,
+        );
     }
 
     /// Foreign traffic arrived mid-window: collapse the train back into the
@@ -756,14 +884,13 @@ impl Bus {
         let Some(tr) = self.train.take() else { return };
         api.cancel_timer(tr.timer);
         let now = api.now();
-        let done = tr.sched.iter().take_while(|s| s.end <= now).count();
+        let done = tr.done_by(&self.cfg, now);
         self.replay_train_prefix(&tr, done);
+        let next = tr.runs.burst(done).zip(tr.sched(&self.cfg, done));
         let mut in_flight = None;
         let mut serve = None;
         let mut slave_prefix = done;
-        if done < tr.bursts.len() {
-            let b = tr.bursts[done];
-            let s = tr.sched[done];
+        if let Some((b, s)) = next {
             // The burst is mid-transaction iff its grant already happened.
             // A grant exactly *at* `now` only counts for the first burst:
             // the train offer (== the per-burst request) was granted
@@ -839,24 +966,25 @@ impl Bus {
         }
         // Rewind the slave-occupancy model to the bursts that actually
         // reached the slave; a burst still in its request phase re-enters
-        // it through the normal `request_phase_done` path.
-        let accessed = tr.sched.iter().take_while(|s| s.access <= now).count();
-        let slave_busy = if accessed == 0 {
-            tr.slave_busy_at_start
-        } else {
-            tr.sched[accessed - 1].reply
-        };
+        // it through the normal `request_phase_done` path. Bursts after the
+        // next one are granted after its end, so none of them has.
+        let accessed = done + usize::from(next.is_some_and(|(_, s)| s.access <= now));
+        let cfg = &self.cfg;
+        let reply_of = |j: usize| tr.sched(cfg, j).map(|s| s.reply);
+        let slave_busy = accessed
+            .checked_sub(1)
+            .and_then(reply_of)
+            .unwrap_or(tr.slave_busy_at_start);
+        let busy_until = slave_prefix
+            .checked_sub(1)
+            .and_then(reply_of)
+            .unwrap_or(tr.started);
         self.set_slave_busy_until(tr.slave, slave_busy);
         if slave_prefix > 0 || serve.is_some() {
-            let busy_until = if slave_prefix > 0 {
-                tr.sched[slave_prefix - 1].reply
-            } else {
-                tr.started
-            };
             api.send(
                 tr.slave,
                 BulkAccess {
-                    bursts: tr.bursts[..slave_prefix].to_vec(),
+                    runs: tr.runs.prefix(slave_prefix),
                     busy_until,
                     serve,
                 },
@@ -967,8 +1095,8 @@ impl Bus {
 
     /// The active train as its offer: who offered which bursts, when,
     /// against which slave occupancy, and where the window ends. The
-    /// per-burst schedule is not written; it is a function of these fields
-    /// and the bus's static timing, and `restore_train` recomputes it.
+    /// schedule is not written; it is a function of these fields and the
+    /// bus's static timing, and `restore_train` recomputes it.
     fn train_json(&self) -> Json {
         use crate::snapshot::{burst_list_json, time_json};
         match &self.train {
@@ -980,17 +1108,19 @@ impl Bus {
                 .with("slave", ju64(t.slave as u64))
                 .with("started", time_json(t.started))
                 .with("slave_busy_at_start", time_json(t.slave_busy_at_start))
-                .with("bursts", burst_list_json(&t.bursts))
-                .with("end", time_json(t.end()))
+                .with("bursts", burst_list_json(&t.runs))
+                .with("end", time_json(t.end))
                 .with("timer", ju64(t.timer.raw())),
         }
     }
 
     /// Restore the active train from its offer, recomputing its schedule
-    /// with the registered timing of its slave. A window end that differs
-    /// from the document's means this bus or slave is timed differently
-    /// from the one that captured it (another clock, another
-    /// [`SlaveTiming`]), and the train cannot resume faithfully.
+    /// with the registered timing of its slave. The offer must pass the
+    /// acceptance check on its bursts again: every burst decodes to the
+    /// document's slave. A window end that differs from the document's
+    /// means this bus or slave is timed differently from the one that
+    /// captured it (another clock, another [`SlaveTiming`]), and the train
+    /// cannot resume faithfully.
     fn restore_train(&mut self, state: &Json) -> SimResult<()> {
         use crate::snapshot::{burst_list_of, time_of};
         let j = snap::field(state, "train")?;
@@ -1001,10 +1131,16 @@ impl Bus {
         let time = |key: &str| -> SimResult<SimTime> {
             time_of(snap::field(j, key)?).ok_or_else(|| snap::err(format!("bad train {key} time")))
         };
-        let bursts = burst_list_of(snap::field(j, "bursts")?)
-            .filter(|b| !b.is_empty())
-            .ok_or_else(|| snap::err("malformed train burst list"))?;
+        let malformed = || snap::err("malformed train burst list");
+        let runs = burst_list_of(snap::field(j, "bursts")?)
+            .filter(|r| !r.is_empty())
+            .ok_or_else(malformed)?;
         let slave = snap::usize_field(j, "slave")?;
+        if self.runs_slave(&runs) != Some(slave) {
+            return Err(snap::err(format!(
+                "train bursts do not all decode to slave {slave} clear of fault ranges"
+            )));
+        }
         let timing = self
             .slave_timings
             .iter()
@@ -1012,28 +1148,31 @@ impl Bus {
             .ok_or_else(|| snap::err(format!("train targets unregistered slave timing {slave}")))?
             .1;
         let (started, slave_busy_at_start) = (time("started")?, time("slave_busy_at_start")?);
-        let sched = self.train_schedule(timing, started, slave_busy_at_start, &bursts);
-        let train = TrainRun {
+        let (first, end) = self
+            .train_window(timing, started, slave_busy_at_start, &runs)
+            .ok_or_else(malformed)?;
+        let want = time("end")?;
+        if end != want {
+            return Err(snap::err(format!(
+                "train window recomputes to end at {} fs, the document says {} fs \
+                 (bus or slave timing differs from the capturing system)",
+                end.as_fs(),
+                want.as_fs()
+            )));
+        }
+        self.train = Some(TrainRun {
             master: snap::usize_field(j, "master")?,
             priority: snap::u64_field(j, "priority")? as u8,
             tag: snap::u64_field(j, "tag")?,
             slave,
+            timing,
             started,
             slave_busy_at_start,
-            bursts,
-            sched,
+            runs,
+            first,
+            end,
             timer: TimerHandle::from_raw(snap::u64_field(j, "timer")?),
-        };
-        let end = time("end")?;
-        if train.end() != end {
-            return Err(snap::err(format!(
-                "train window recomputes to end at {} fs, the document says {} fs \
-                 (bus or slave timing differs from the capturing system)",
-                train.end().as_fs(),
-                end.as_fs()
-            )));
-        }
-        self.train = Some(train);
+        });
         Ok(())
     }
 }
@@ -1154,6 +1293,8 @@ pub(crate) mod tests {
         program: Vec<(BusOp, u64, Vec<u64>)>, // (op, addr, write data) reads use burst=data capacity
         pc: usize,
         pub responses: Vec<BusResponse>,
+        /// When the first transaction is issued.
+        start: SimDuration,
     }
 
     impl SeqMaster {
@@ -1163,6 +1304,7 @@ pub(crate) mod tests {
                 program,
                 pc: 0,
                 responses: vec![],
+                start: SimDuration::ZERO,
             }
         }
 
@@ -1206,7 +1348,9 @@ pub(crate) mod tests {
 
         fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
             match msg.kind {
-                MsgKind::Start => self.issue_next(api),
+                MsgKind::Start if self.start.is_zero() => self.issue_next(api),
+                MsgKind::Start => api.timer_in(self.start, 0),
+                MsgKind::Timer(_) => self.issue_next(api),
                 _ => {
                     if let Ok(resp) = self.port.take_response(api, msg) {
                         self.responses.push(resp);
@@ -1575,6 +1719,10 @@ pub(crate) mod tests {
         ConfigTrain, ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, TrainBurst,
     };
 
+    /// When a master starts in a world with a lead read: after the lead's
+    /// request phase, while the memory still serves it.
+    const LEAD_START: SimDuration = SimDuration::ns(15);
+
     /// Offers its whole burst list as one [`ConfigTrain`] and falls back to
     /// per-burst transactions on rejection or de-coalesce, exactly like the
     /// fabric's configuration controller.
@@ -1587,6 +1735,8 @@ pub(crate) mod tests {
         done_words: u64,
         deco: Option<ConfigTrainDecoalesced>,
         finished_at: Option<SimTime>,
+        /// When the train is offered.
+        start: SimDuration,
     }
 
     impl TrainMaster {
@@ -1600,7 +1750,21 @@ pub(crate) mod tests {
                 done_words: 0,
                 deco: None,
                 finished_at: None,
+                start: SimDuration::ZERO,
             }
+        }
+
+        fn offer(&mut self, api: &mut Api<'_>) {
+            api.send(
+                self.bus,
+                ConfigTrain {
+                    master: api.me(),
+                    priority: 1,
+                    tag: 42,
+                    runs: self.bursts.iter().copied().collect(),
+                },
+                Delay::Delta,
+            );
         }
 
         fn issue_next(&mut self, api: &mut Api<'_>) {
@@ -1674,19 +1838,9 @@ pub(crate) mod tests {
 
         fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
             let msg = match msg.kind {
-                MsgKind::Start => {
-                    api.send(
-                        self.bus,
-                        ConfigTrain {
-                            master: api.me(),
-                            priority: 1,
-                            tag: 42,
-                            bursts: self.bursts.clone(),
-                        },
-                        Delay::Delta,
-                    );
-                    return;
-                }
+                MsgKind::Start if self.start.is_zero() => return self.offer(api),
+                MsgKind::Start => return api.timer_in(self.start, 0),
+                MsgKind::Timer(_) => return self.offer(api),
                 _ => msg,
             };
             let msg = match msg.user::<ConfigTrainDone>() {
@@ -1727,24 +1881,30 @@ pub(crate) mod tests {
         }
     }
 
-    /// A rival master that issues one read after a fixed delay.
+    /// A rival master: a read of `lead` words at time zero, if set, and a
+    /// two-word read after `delay`, if set.
     struct DelayedReader {
         port: MasterPort,
-        delay: SimDuration,
-        got: bool,
+        lead: Option<usize>,
+        delay: Option<SimDuration>,
     }
 
     impl Component for DelayedReader {
         fn handle(&mut self, api: &mut Api<'_>, msg: Msg) {
             match msg.kind {
-                MsgKind::Start => api.timer_in(self.delay, 0),
+                MsgKind::Start => {
+                    if let Some(words) = self.lead {
+                        self.port.read(api, 0x300, words);
+                    }
+                    if let Some(delay) = self.delay {
+                        api.timer_in(delay, 0);
+                    }
+                }
                 MsgKind::Timer(_) => {
                     self.port.read(api, 0x210, 2);
                 }
                 _ => {
-                    if self.port.take_response(api, msg).is_ok() {
-                        self.got = true;
-                    }
+                    let _ = self.port.take_response(api, msg);
                 }
             }
         }
@@ -1789,7 +1949,14 @@ pub(crate) mod tests {
         rival_delay: Option<SimDuration>,
     ) -> (Simulator, ComponentId, ComponentId) {
         let timing = register_timing.then(|| train_world_memory().slave_timing());
-        build_timed_train_world(bursts, train, BusConfig::default(), timing, rival_delay)
+        build_timed_train_world(
+            bursts,
+            train,
+            BusConfig::default(),
+            timing,
+            rival_delay,
+            None,
+        )
     }
 
     /// The train world's memory: 0x2000 words from 0x200.
@@ -1802,20 +1969,26 @@ pub(crate) mod tests {
     }
 
     /// [`build_train_world_with`] with the bus configuration and the slave
-    /// timing registered with the bus (if any) given.
+    /// timing registered with the bus (if any) given. With a `lead`, the
+    /// rival reads that many words at time zero and the master starts at
+    /// [`LEAD_START`], while the memory still serves the lead read.
     fn build_timed_train_world(
         bursts: Vec<TrainBurst>,
         train: bool,
         bus_cfg: BusConfig,
         timing: Option<SlaveTiming>,
         rival_delay: Option<SimDuration>,
+        lead: Option<usize>,
     ) -> (Simulator, ComponentId, ComponentId) {
         let mut sim = Simulator::new();
         let mut map = AddressMap::new();
         ok(map.add(0x200, 0x21FF, 2));
         let mem_cfg = train_world_memory();
+        let start = lead.map_or(SimDuration::ZERO, |_| LEAD_START);
         let master = if train {
-            sim.add("train", TrainMaster::new(1, bursts))
+            let mut m = TrainMaster::new(1, bursts);
+            m.start = start;
+            sim.add("train", m)
         } else {
             let program: Vec<(BusOp, u64, Vec<u64>)> = bursts
                 .into_iter()
@@ -1827,7 +2000,9 @@ pub(crate) mod tests {
                     (b.op, b.addr, payload)
                 })
                 .collect();
-            sim.add("train", SeqMaster::new(1, program))
+            let mut m = SeqMaster::new(1, program);
+            m.start = start;
+            sim.add("train", m)
         };
         let mut bus = Bus::new(bus_cfg, map);
         if let Some(timing) = timing {
@@ -1835,13 +2010,13 @@ pub(crate) mod tests {
         }
         let bus = sim.add("bus", bus);
         let _mem = sim.add("mem", Memory::new(mem_cfg));
-        if let Some(delay) = rival_delay {
+        if rival_delay.is_some() || lead.is_some() {
             sim.add(
                 "rival",
                 DelayedReader {
                     port: MasterPort::new(1, 2),
-                    delay,
-                    got: false,
+                    lead,
+                    delay: rival_delay,
                 },
             );
         }
@@ -1986,6 +2161,52 @@ pub(crate) mod tests {
         assert_eq!(sim.get::<TrainMaster>(master).outcome, Some("done"));
     }
 
+    /// The per-burst phase schedule of a train offered at `now` to a slave
+    /// whose port frees at `slave_busy_at_start`, burst by burst: back to
+    /// back on the bus, each reply served in order behind the previous
+    /// one. The reference for the closed-form [`TrainRun`] schedule.
+    fn reference_schedule(
+        cfg: &BusConfig,
+        timing: SlaveTiming,
+        now: SimTime,
+        slave_busy_at_start: SimTime,
+        bursts: &[TrainBurst],
+    ) -> Vec<BurstSched> {
+        let mut sched = Vec::with_capacity(bursts.len());
+        let mut grant = now;
+        let mut slave_free = now.max(slave_busy_at_start);
+        for b in bursts {
+            let access = grant + cfg.cycles(cfg.request_cycles(b.op, b.words));
+            let reply = access.max(slave_free) + timing.service(b.op, b.words);
+            slave_free = reply;
+            let end = reply + cfg.cycles(cfg.response_cycles(b.op, b.words));
+            sched.push(BurstSched {
+                grant,
+                access,
+                reply,
+                end,
+            });
+            grant = end;
+        }
+        sched
+    }
+
+    /// The per-burst acceptance check on a train's bursts: the reference
+    /// for [`Bus::runs_slave`].
+    fn reference_slave(bus: &Bus, bursts: impl Iterator<Item = TrainBurst>) -> Option<ComponentId> {
+        let mut slave = None;
+        for b in bursts {
+            if b.words == 0 || bus.cfg.fault_at(b.addr, b.words) {
+                return None;
+            }
+            let s = bus.map.decode_burst(b.addr, b.words)?;
+            if *slave.get_or_insert(s) != s {
+                return None;
+            }
+        }
+        slave
+    }
+
     /// The per-burst replay of a train burst's request grant, as the bus
     /// did it before completed trains were accounted in one step: the
     /// reference for [`Bus::replay_train_prefix`].
@@ -2054,46 +2275,85 @@ pub(crate) mod tests {
     }
 
     /// A random train of 1–300 bursts within the train world's memory.
-    /// Half the trains have the configuration controller's shape — state
-    /// save writes, image reads, state restore reads, each group in full
-    /// bursts plus a partial last one — and half mix ops and lengths
-    /// freely, so some trains have more than four burst shapes.
+    /// Half the trains have the configuration controller's shape: state
+    /// save writes and state restore reads at one scratch address, image
+    /// reads contiguous from a random address, each group in full bursts
+    /// plus a partial last one. Half mix ops, lengths and addresses freely,
+    /// now and then repeating the previous burst, so they have many runs,
+    /// fixed ones among them.
     fn random_train(rng: &mut Lcg) -> Vec<TrainBurst> {
         let count = rng.range(1, 300) as usize;
         let burst = rng.range(1, 16) as usize;
-        let controller_shape = rng.flip();
-        let saves = rng.range(0, count as u64) as usize;
-        let restores = rng.range(0, (count - saves) as u64) as usize;
-        (0..count)
-            .map(|i| {
-                let (op, words) = if controller_shape {
-                    let op = if i < saves { BusOp::Write } else { BusOp::Read };
+        if rng.flip() {
+            let saves = rng.range(0, count as u64) as usize;
+            let restores = rng.range(0, (count - saves) as u64) as usize;
+            let images = (count - saves - restores) as u64;
+            let state = 0x200 + rng.range(0, 0x2000 - 16);
+            let mut image = 0x200 + rng.range(0, 0x2000 - 16 * images);
+            return (0..count)
+                .map(|i| {
                     let group_last = i + 1 == saves || i + 1 == count - restores || i + 1 == count;
                     let words = if group_last {
                         rng.range(1, burst as u64) as usize
                     } else {
                         burst
                     };
-                    (op, words)
-                } else {
-                    let op = if rng.flip() {
-                        BusOp::Write
+                    let (op, addr) = if i < saves {
+                        (BusOp::Write, state)
+                    } else if i < count - restores {
+                        image += words as u64;
+                        (BusOp::Read, image - words as u64)
                     } else {
-                        BusOp::Read
+                        (BusOp::Read, state)
                     };
-                    (op, rng.range(1, 16) as usize)
+                    TrainBurst { op, addr, words }
+                })
+                .collect();
+        }
+        let mut bursts: Vec<TrainBurst> = Vec::with_capacity(count);
+        while bursts.len() < count {
+            let repeat = bursts.last().copied().filter(|_| rng.range(0, 3) == 0);
+            let b = repeat.unwrap_or_else(|| {
+                let op = if rng.flip() {
+                    BusOp::Write
+                } else {
+                    BusOp::Read
                 };
+                let words = rng.range(1, 16) as usize;
                 let addr = 0x200 + rng.range(0, 0x2000 - words as u64);
                 TrainBurst { op, addr, words }
-            })
+            });
+            bursts.push(b);
+        }
+        bursts
+    }
+
+    /// The grant, access, reply and end of burst `s`, each ±1 fs, within
+    /// `[from, to]`.
+    fn boundary_cuts(s: &BurstSched, from: SimTime, to: SimTime) -> Vec<SimTime> {
+        [s.grant, s.access, s.reply, s.end]
+            .iter()
+            .flat_map(|t| [t.as_fs().saturating_sub(1), t.as_fs(), t.as_fs() + 1])
+            .map(SimTime)
+            .filter(|t| (from..=to).contains(t))
             .collect()
     }
 
-    #[test]
-    fn batched_train_replay_matches_the_per_burst_replay() {
+    /// The closed-form schedule and the batched replay against the
+    /// per-burst reference. Each case draws bus and slave timings, a train,
+    /// a slave busy until before, inside or after the first burst's access,
+    /// and statistics from earlier traffic. The train's schedule must equal
+    /// the reference burst by burst. Then the train is cut by the window
+    /// timer, at random instants, and at the boundaries (±1 fs) of its
+    /// first, last and one random burst, or of every burst with
+    /// `every_burst`: at each cut the done count, the completed prefix and
+    /// the in-flight burst's grants, as `decoalesce` replays them, must
+    /// leave the statistics and the arrival counter as the per-burst
+    /// replay does.
+    fn check_closed_form_trains(seed: u64, cases: usize, every_burst: bool) {
         const MASTER: ComponentId = 4;
-        let mut rng = Lcg(0x7261_696e);
-        for case in 0..200 {
+        let mut rng = Lcg(seed);
+        for case in 0..cases {
             let cfg = BusConfig {
                 clock_mhz: [50, 100, 133, 200][rng.range(0, 3) as usize],
                 setup_cycles: rng.range(1, 3),
@@ -2108,12 +2368,12 @@ pub(crate) mod tests {
             };
             let bursts = random_train(&mut rng);
             let now = SimTime::ZERO + SimDuration::ns(rng.range(100, 10_000));
-            // Half the windows open with the slave still serving earlier
-            // traffic.
-            let slave_busy_at_start = if rng.flip() {
-                now + SimDuration::ns(rng.range(1, 500))
-            } else {
-                SimTime::ZERO + SimDuration::ns(rng.range(0, 100))
+            let b0 = bursts[0];
+            let request = cfg.cycles(cfg.request_cycles(b0.op, b0.words)).as_fs();
+            let slave_busy_at_start = match rng.range(0, 2) {
+                0 => SimTime::ZERO + SimDuration::ns(rng.range(0, 100)),
+                1 => now + SimDuration::fs(rng.range(0, request)),
+                _ => now + SimDuration::fs(request + rng.range(1, 500_000_000)),
             };
             // Statistics from earlier traffic: the train's master already
             // granted or not, another master, some busy history, and the
@@ -2140,97 +2400,174 @@ pub(crate) mod tests {
                 s
             };
 
-            let mut bus = Bus::new(cfg, AddressMap::new());
-            let sched = bus.train_schedule(timing, now, slave_busy_at_start, &bursts);
-            let end = sched.last().map(|s| s.end).expect("non-empty train");
+            let mut bus = Bus::new(cfg.clone(), AddressMap::new());
+            let want = reference_schedule(&cfg, timing, now, slave_busy_at_start, &bursts);
+            let runs: BurstRuns = bursts.iter().copied().collect();
+            let (first, end) = bus
+                .train_window(timing, now, slave_busy_at_start, &runs)
+                .expect("non-empty train");
             let tr = TrainRun {
                 master: MASTER,
                 priority: 1,
                 tag: 7,
                 slave: 2,
+                timing,
                 started: now,
                 slave_busy_at_start,
-                bursts,
-                sched,
+                runs,
+                first,
+                end,
                 timer: TimerHandle::from_raw(0),
             };
-            // The window timer at `end`, then de-coalesce cuts at random
-            // instants in the window: the completed prefix plus the
-            // in-flight burst's grants, exactly as `decoalesce` replays
-            // them.
+            let got: Vec<BurstSched> = (0..=bursts.len())
+                .map_while(|j| tr.sched(&cfg, j))
+                .collect();
+            assert_eq!(got, want, "case {case}: schedule");
+            let last = want[want.len() - 1];
+            assert_eq!((tr.end, tr.last_reply(&cfg)), (last.end, last.reply));
+
             let mut cuts = vec![end];
             for _ in 0..4 {
                 cuts.push(SimTime(rng.range(now.as_fs(), end.as_fs())));
             }
+            let picked: Vec<usize> = if every_burst {
+                (0..bursts.len()).collect()
+            } else {
+                vec![
+                    0,
+                    rng.range(0, bursts.len() as u64 - 1) as usize,
+                    bursts.len() - 1,
+                ]
+            };
+            for j in picked {
+                cuts.extend(boundary_cuts(&want[j], now, end));
+            }
             for cut in cuts {
                 bus.stats = seeded();
                 bus.arrivals = arrivals0;
-                let mut want = seeded();
+                let mut want_stats = seeded();
                 let mut want_arrivals = arrivals0;
-                let done = tr.sched.iter().take_while(|s| s.end <= cut).count();
+                let done = want.iter().take_while(|s| s.end <= cut).count();
+                assert_eq!(tr.done_by(&cfg, cut), done, "case {case}: done at {cut:?}");
                 bus.replay_train_prefix(&tr, done);
-                for (b, s) in tr.bursts.iter().zip(&tr.sched).take(done) {
-                    reference_request_grant(&mut want, &mut want_arrivals, MASTER, b, s);
-                    reference_response_grant(&mut want, &mut want_arrivals, MASTER, b, s);
-                    reference_response_done(&mut want, s);
+                for (b, s) in bursts.iter().zip(&want).take(done) {
+                    reference_request_grant(&mut want_stats, &mut want_arrivals, MASTER, b, s);
+                    reference_response_grant(&mut want_stats, &mut want_arrivals, MASTER, b, s);
+                    reference_response_done(&mut want_stats, s);
                 }
-                if let (Some(b), Some(s)) = (tr.bursts.get(done), tr.sched.get(done)) {
+                if let (Some(b), Some(s)) = (bursts.get(done), want.get(done)) {
                     if s.grant < cut || (done == 0 && s.grant == cut) {
                         bus.replay_request_grant(MASTER, b, s);
-                        reference_request_grant(&mut want, &mut want_arrivals, MASTER, b, s);
+                        reference_request_grant(&mut want_stats, &mut want_arrivals, MASTER, b, s);
                         if cut >= s.reply {
                             bus.replay_response_grant(MASTER, b, s);
-                            reference_response_grant(&mut want, &mut want_arrivals, MASTER, b, s);
+                            reference_response_grant(
+                                &mut want_stats,
+                                &mut want_arrivals,
+                                MASTER,
+                                b,
+                                s,
+                            );
                         }
                     }
                 }
                 assert_eq!(
                     (bus.stats.snapshot_json().to_string(), bus.arrivals),
-                    (want.snapshot_json().to_string(), want_arrivals),
+                    (want_stats.snapshot_json().to_string(), want_arrivals),
                     "case {case}: {} bursts cut at {cut:?} ({done} done)",
-                    tr.bursts.len()
+                    bursts.len()
                 );
             }
         }
     }
 
-    /// End-to-end through the simulator: random trains completed by the
-    /// window timer or cut by a rival's request at a random instant leave
-    /// the bus exactly as the per-burst world does — every statistic, the
-    /// arrival counter and the finish time.
     #[test]
-    fn random_trains_match_the_per_burst_world() {
-        let mut rng = Lcg(0x6275_7273);
-        let mut saw_decoalesce = false;
-        for case in 0..40 {
+    fn batched_train_replay_matches_the_per_burst_replay() {
+        check_closed_form_trains(0x7261_696e, 200, false);
+    }
+
+    /// The heavy version: thousands of trains, each cut at every burst's
+    /// boundaries. Run with `cargo test --release -p drcf-bus -- --ignored`.
+    #[test]
+    #[ignore = "heavy; run in release"]
+    fn batched_train_replay_matches_the_per_burst_replay_at_every_cut() {
+        check_closed_form_trains(0x6375_7473, 2000, true);
+    }
+
+    /// End-to-end through the simulator: random trains completed by the
+    /// window timer, or cut by a rival's request at a random instant or at
+    /// a burst boundary ±1 fs, some offered while the memory still serves
+    /// a lead read, leave the bus exactly as the per-burst world does —
+    /// every statistic, the arrival counter and the finish time.
+    fn check_trains_in_the_simulator(seed: u64, cases: usize) {
+        let timing = train_world_memory().slave_timing();
+        let mut rng = Lcg(seed);
+        let (mut saw_decoalesce, mut saw_slave_busy) = (false, false);
+        for case in 0..cases {
             let bursts = random_train(&mut rng);
-            let rival = rng
-                .flip()
-                .then(|| SimDuration::ns(rng.range(0, 60 * bursts.len() as u64)));
-            let mut world = |train: bool| {
-                let (mut sim, master, bus) =
-                    build_train_world_with(bursts.clone(), train, true, rival);
+            let lead = rng.flip().then(|| rng.range(1, 64) as usize);
+            let world = |train: bool, rival: Option<SimDuration>| {
+                let cfg = BusConfig::default();
+                build_timed_train_world(bursts.clone(), train, cfg, Some(timing), rival, lead)
+            };
+            // The window as the bus lays it out, burst by burst.
+            let (mut sim, _, bus) = world(true, None);
+            let start = SimTime::ZERO + lead.map_or(SimDuration::ZERO, |_| LEAD_START);
+            ok(sim.run_until(start + SimDuration::fs(1)));
+            let t = sim.get::<Bus>(bus).train.as_ref().expect("train accepted");
+            let (started, busy) = (t.started, t.slave_busy_at_start);
+            let want = reference_schedule(&BusConfig::default(), timing, started, busy, &bursts);
+            saw_slave_busy |= busy > want[0].access;
+            let end = want[want.len() - 1].end;
+            let rival = match rng.range(0, 2) {
+                0 => None,
+                1 => Some(SimTime(rng.range(0, end.as_fs()))),
+                _ => {
+                    let s = want[rng.range(0, bursts.len() as u64 - 1) as usize];
+                    let cuts = boundary_cuts(&s, SimTime::ZERO, end);
+                    Some(cuts[rng.range(0, cuts.len() as u64 - 1) as usize])
+                }
+            }
+            .map(|t| t.since(SimTime::ZERO));
+            let mut run = |train: bool| {
+                let (mut sim, master, bus) = world(train, rival);
                 ok(sim.run());
                 if train {
                     let m = sim.get::<TrainMaster>(master);
                     assert!(m.finished_at.is_some(), "case {case}: train finished");
-                    if m.outcome == Some("decoalesced") {
-                        saw_decoalesce = true;
-                    }
+                    saw_decoalesce |= m.outcome == Some("decoalesced");
                 }
                 let b = sim.get::<Bus>(bus);
                 (sim.now(), b.stats.snapshot_json().to_string(), b.arrivals)
             };
-            let per_burst = world(false);
-            assert_eq!(world(true), per_burst, "case {case}: rival {rival:?}");
+            let per_burst = run(false);
+            assert_eq!(
+                run(true),
+                per_burst,
+                "case {case}: rival {rival:?}, lead {lead:?}"
+            );
         }
         assert!(saw_decoalesce, "some rivals must land mid-window");
+        assert!(saw_slave_busy, "some trains must wait for the slave");
+    }
+
+    #[test]
+    fn random_trains_match_the_per_burst_world() {
+        check_trains_in_the_simulator(0x6275_7273, 40);
+    }
+
+    /// The heavy version of [`random_trains_match_the_per_burst_world`].
+    #[test]
+    #[ignore = "heavy; run in release"]
+    fn random_trains_match_the_per_burst_world_at_scale() {
+        check_trains_in_the_simulator(0x7363_616c, 2000);
     }
 
     /// A random train in the train world's memory built from groups of
-    /// contiguous bursts: each group has its own op and burst size, may end
-    /// in a partial burst, and starts either where the previous group ended
-    /// or at an unrelated address. 1–300 bursts in all.
+    /// bursts: each group has its own op and burst size, may end in a
+    /// partial burst, and either repeats one address or is contiguous,
+    /// starting where the previous group ended or at an unrelated address.
+    /// 1–300 bursts in all.
     fn random_run_train(rng: &mut Lcg) -> Vec<TrainBurst> {
         let total = rng.range(1, 300) as usize;
         let mut bursts: Vec<TrainBurst> = Vec::with_capacity(total);
@@ -2243,7 +2580,8 @@ pub(crate) mod tests {
             let size = rng.range(1, 16) as usize;
             let len = (rng.range(1, 40) as usize).min(total - bursts.len());
             let partial = rng.flip().then(|| rng.range(1, size as u64) as usize);
-            let span = (len * size) as u64;
+            let fixed = rng.range(0, 2) == 0;
+            let span = if fixed { size } else { len * size } as u64;
             let mut addr = match bursts.last() {
                 Some(b) if rng.flip() && b.addr + b.words as u64 + span <= 0x2200 => {
                     b.addr + b.words as u64
@@ -2256,32 +2594,50 @@ pub(crate) mod tests {
                     _ => size,
                 };
                 bursts.push(TrainBurst { op, addr, words });
-                addr += words as u64;
+                if !fixed {
+                    addr += words as u64;
+                }
             }
         }
         bursts
     }
 
-    /// The active train's bursts and schedule, if a train is in flight.
-    fn live_train(sim: &Simulator, bus: ComponentId) -> Option<(Vec<TrainBurst>, Vec<BurstSched>)> {
-        let t = sim.get::<Bus>(bus).train.as_ref()?;
-        Some((t.bursts.clone(), t.sched.clone()))
+    /// The active train's runs and its schedule burst by burst, if a train
+    /// is in flight.
+    fn live_train(sim: &Simulator, bus: ComponentId) -> Option<(BurstRuns, Vec<BurstSched>)> {
+        let b = sim.get::<Bus>(bus);
+        let t = b.train.as_ref()?;
+        let sched = (0..=t.runs.len()).map_while(|j| t.sched(&b.cfg, j));
+        Some((t.runs.clone(), sched.collect()))
     }
 
     /// A train document carries the offer, not the schedule: cut anywhere
-    /// inside the window, the restored bus rebuilds exactly the live
-    /// bursts and schedule, and finishes the run as the live one does.
+    /// inside the window, at random or at a burst boundary ±1 fs, the
+    /// restored bus rebuilds exactly the live runs and schedule, which
+    /// equal the per-burst reference, and finishes the run as the live
+    /// one does.
     #[test]
     fn restored_train_rebuilds_the_live_bursts_and_schedule() {
+        let timing = train_world_memory().slave_timing();
         let mut rng = Lcg(0x7275_6e73);
         for case in 0..60 {
             let bursts = random_run_train(&mut rng);
             let (mut sim, master, bus) = build_train_world_with(bursts.clone(), true, true, None);
             ok(sim.run_until(SimTime::ZERO + SimDuration::ns(1)));
             let t = sim.get::<Bus>(bus).train.as_ref().expect("train accepted");
-            let (started, end) = (t.started.as_fs(), t.end().as_fs());
-            ok(sim.run_until(SimTime(rng.range(started + 1, end - 1))));
+            let (started, end) = (t.started, t.end);
+            let want = reference_schedule(&BusConfig::default(), timing, started, started, &bursts);
+            let inside = (started + SimDuration::fs(1), end - SimDuration::fs(1));
+            let cut = if rng.flip() {
+                SimTime(rng.range(inside.0.as_fs(), inside.1.as_fs()))
+            } else {
+                let s = want[rng.range(0, bursts.len() as u64 - 1) as usize];
+                let cuts = boundary_cuts(&s, inside.0, inside.1);
+                cuts[rng.range(0, cuts.len() as u64 - 1) as usize]
+            };
+            ok(sim.run_until(cut));
             let live = live_train(&sim, bus).expect("cut inside the window");
+            assert_eq!(live.1, want, "case {case}: live schedule");
             let doc = ok(sim.snapshot());
             let state = doc.json().to_string();
             assert!(
@@ -2317,6 +2673,112 @@ pub(crate) mod tests {
         }
     }
 
+    /// Run-level acceptance equals the per-burst check on random address
+    /// maps: adjacent claims of the same slave (which a run may cross on a
+    /// burst boundary, but no burst may straddle), gaps, fault ranges, and
+    /// maps at the top of the address space, where a run's last burst can
+    /// run past the end.
+    #[test]
+    fn run_acceptance_matches_the_per_burst_check() {
+        let mut rng = Lcg(0x6d61_7073);
+        let (mut accepted, mut crossing) = (0, 0);
+        for case in 0..2000 {
+            let base = if rng.range(0, 9) == 0 {
+                Addr::MAX - 0x3FF
+            } else {
+                0
+            };
+            // Half the maps align claims, runs and bursts on 8 words, so
+            // runs often cross claims on a burst boundary.
+            let align = if rng.flip() { 8 } else { 1 };
+            let mut map = AddressMap::new();
+            let mut low = 0;
+            while low < 0x400 {
+                let len = (align * rng.range(1, 64 / align)).min(0x400 - low);
+                // Mostly slave 1, now and then slave 2 or a gap.
+                let slave = [1, 1, 1, 1, 2, 0][rng.range(0, 5) as usize];
+                if slave > 0 {
+                    ok(map.add(base + low, base + (low + len - 1), slave));
+                }
+                low += len;
+            }
+            let fault_ranges = (0..rng.range(0, 2))
+                .map(|_| {
+                    let a = base + rng.range(0, 0x3FF);
+                    (a, a.saturating_add(rng.range(0, 8)))
+                })
+                .collect();
+            let bus = Bus::new(
+                BusConfig {
+                    fault_ranges,
+                    ..BusConfig::default()
+                },
+                map,
+            );
+            let mut runs = BurstRuns::default();
+            for _ in 0..rng.range(1, 3) {
+                let addr = base + align * rng.range(0, 0x3FF / align);
+                let words = match align {
+                    1 => rng.range(0, 8) as usize,
+                    _ => 1 << rng.range(0, 3),
+                };
+                let most = if rng.flip() { 4 } else { 60 };
+                // No burst may start past the end of the address space.
+                let room = ((Addr::MAX - addr) / (words as u64).max(1)).saturating_add(1);
+                runs.push(BurstRun {
+                    op: if rng.flip() {
+                        BusOp::Write
+                    } else {
+                        BusOp::Read
+                    },
+                    addr,
+                    words,
+                    count: rng.range(1, most).min(room) as usize,
+                    fixed: rng.flip(),
+                });
+            }
+            let got = bus.runs_slave(&runs);
+            assert_eq!(
+                got,
+                reference_slave(&bus, runs.bursts()),
+                "case {case}: {runs:?}"
+            );
+            if got.is_some() {
+                accepted += 1;
+                let claims = |r: &BurstRun| {
+                    let first = bus.map.range_of_burst(r.addr, r.words);
+                    let last = bus.map.range_of_burst(r.addr_of(r.count - 1), r.words);
+                    first != last
+                };
+                crossing += usize::from(runs.runs().iter().any(claims));
+            }
+        }
+        assert!(
+            accepted > 200 && crossing > 50,
+            "{accepted} accepted, {crossing} crossing"
+        );
+    }
+
+    /// A mid-train document whose bursts do not all decode to its slave is
+    /// refused with a typed error, instead of handing the memory a write
+    /// outside its range on the next run.
+    #[test]
+    fn mid_train_document_with_bursts_off_its_slave_is_refused() {
+        let (mut sim, _, bus) = build_train_world(true, true, None);
+        ok(sim.run_until(SimTime::ZERO + SimDuration::ns(100)));
+        assert!(sim.get::<Bus>(bus).train.is_some(), "cut inside the window");
+        let text = ok(sim.snapshot()).json().to_string();
+        let run = "[\"write\",512,8,1]";
+        assert_eq!(text.matches(run).count(), 1, "the train's first run");
+        let crafted = ok(Snapshot::parse(&text.replace(run, "[\"write\",16,8,1]")));
+        let (mut fresh, _, _) = build_train_world(true, true, None);
+        let e = fresh
+            .restore(&crafted)
+            .expect_err("a burst outside the memory");
+        assert_eq!(e.kind, SimErrorKind::Validation, "{e}");
+        assert!(e.to_string().contains("decode"), "{e}");
+    }
+
     /// A mid-train document restored into a bus clocked differently, or one
     /// that registered another timing for the slave, recomputes another
     /// window end and is refused with a typed error.
@@ -2340,7 +2802,7 @@ pub(crate) mod tests {
             ("slave timing", BusConfig::default(), slower),
         ] {
             let (mut fresh, _, _) =
-                build_timed_train_world(train_bursts(), true, cfg, Some(timing), None);
+                build_timed_train_world(train_bursts(), true, cfg, Some(timing), None, None);
             let e = fresh.restore(&doc).expect_err(what);
             assert_eq!(e.kind, SimErrorKind::Validation, "{what}: {e}");
             assert!(e.to_string().contains("window"), "{what}: {e}");

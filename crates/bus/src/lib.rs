@@ -41,8 +41,8 @@ pub mod prelude {
     pub use crate::memory::{Memory, MemoryConfig, MemoryStats};
     pub use crate::monitor::{BusContention, BusStats, ContentionRow};
     pub use crate::protocol::{
-        Addr, BulkAccess, BusOp, BusRequest, BusResponse, BusStatus, ConfigTrain,
-        ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, DirectReadDone,
+        Addr, BulkAccess, BurstRun, BurstRuns, BusOp, BusRequest, BusResponse, BusStatus,
+        ConfigTrain, ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, DirectReadDone,
         DirectReadReq, InFlightBurst, ServeBurst, SlaveAccess, SlaveReply, TrainBurst, TxnId, Word,
     };
     pub use crate::remote::{BridgeDownstream, BridgeUpstream};

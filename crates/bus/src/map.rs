@@ -84,11 +84,15 @@ impl AddressMap {
     /// Find the slave claiming the *whole* burst `[addr, addr + words)`.
     /// Bursts may not cross slave boundaries.
     pub fn decode_burst(&self, addr: Addr, words: usize) -> Option<ComponentId> {
+        self.range_of_burst(addr, words).map(|r| r.slave)
+    }
+
+    /// The claim holding the whole burst `[addr, addr + words)`, if one does.
+    pub fn range_of_burst(&self, addr: Addr, words: usize) -> Option<&Range> {
         let end = addr.checked_add(words.saturating_sub(1) as u64)?;
         self.ranges
             .iter()
             .find(|r| r.contains(addr) && r.contains(end))
-            .map(|r| r.slave)
     }
 
     /// All claims, in registration order.

@@ -283,12 +283,12 @@ impl Memory {
         }
     }
 
-    /// Zero `words` words from `addr` on and bump each touched page's
-    /// epoch by the words written in it: the state that many single-word
-    /// writes leave, in one fill. Coalesced train writes carry
-    /// implied-zero payloads, and the bus never coalesces over poisoned
-    /// or unmapped words.
-    fn fill_zero(&mut self, addr: Addr, words: usize) {
+    /// Zero `words` words from `addr` on, `times` times over, and bump
+    /// each touched page's epoch by the words written in it: the state that
+    /// many single-word writes leave, in one fill. Coalesced train writes
+    /// carry implied-zero payloads, and the bus never coalesces over
+    /// poisoned or unmapped words.
+    fn fill_zero(&mut self, addr: Addr, words: usize, times: u64) {
         debug_assert!(
             (addr..addr + words as u64).all(|a| !self.cfg.poisoned(a)),
             "bulk write over poisoned words"
@@ -300,7 +300,7 @@ impl Memory {
             "bulk write past the end of memory"
         );
         for (p, r) in page_spans(start, end) {
-            self.page_epochs[p] += r.len() as u64;
+            self.page_epochs[p] += r.len() as u64 * times;
             if let Some(page) = self.page_mut(p, false) {
                 page[r].fill(0);
             }
@@ -560,16 +560,21 @@ impl Component for Memory {
         // that was mid-flight when the train de-coalesced, if any.
         let msg = match msg.user::<BulkAccess>() {
             Ok(bulk) => {
-                for b in &bulk.bursts {
-                    match b.op {
+                for r in bulk.runs.runs() {
+                    let (n, words) = (r.count as u64, r.words_of(r.count));
+                    match r.op {
                         BusOp::Read => {
-                            self.stats.reads += 1;
-                            self.stats.words_read += b.words as u64;
+                            self.stats.reads += n;
+                            self.stats.words_read += words;
                         }
                         BusOp::Write => {
-                            self.stats.writes += 1;
-                            self.stats.words_written += b.words as u64;
-                            self.fill_zero(b.addr, b.words);
+                            self.stats.writes += n;
+                            self.stats.words_written += words;
+                            if r.fixed {
+                                self.fill_zero(r.addr, r.words, n);
+                            } else {
+                                self.fill_zero(r.addr, words as usize, 1);
+                            }
                         }
                     }
                 }
@@ -685,19 +690,28 @@ mod tests {
             ..MemoryConfig::default()
         };
         // Bursts inside one page, ending on a page boundary, and spanning
-        // two and three pages; onto a preloaded image and onto one whose
-        // pages are all absent.
+        // two and three pages, some written repeatedly (a fixed-address
+        // run); onto a preloaded image and onto one whose pages are all
+        // absent.
         for preload in [true, false] {
-            for (addr, words) in [(0x45, 7), (0x40 + 56, 8), (0x40 + 60, 9), (0x40 + 10, 150)] {
+            let bursts = [
+                (0x45, 7, 1),
+                (0x40 + 56, 8, 1),
+                (0x40 + 60, 9, 3),
+                (0x40 + 10, 150, 2),
+            ];
+            for (addr, words, times) in bursts {
                 let (mut got, mut want) = (Memory::new(cfg.clone()), Memory::new(cfg.clone()));
                 if preload {
                     for m in [&mut got, &mut want] {
                         m.load(0x40, &vec![9; 5 * PAGE_WORDS]);
                     }
                 }
-                got.fill_zero(addr, words);
-                for i in 0..words as u64 {
-                    ok(want.write(addr + i, 0));
+                got.fill_zero(addr, words, times);
+                for _ in 0..times {
+                    for i in 0..words as u64 {
+                        ok(want.write(addr + i, 0));
+                    }
                 }
                 // An absent page equals a zeroed one: compare contents.
                 assert_eq!(contents(&got), contents(&want), "burst {addr:#x}+{words}");
@@ -974,7 +988,7 @@ mod tests {
                         let start = rng.range(base, top - 1);
                         let words = rng.range(0, (top - start).min(3 * PAGE_WORDS as u64));
                         if (start..start + words).all(|a| !cfg.poisoned(a)) {
-                            paged.fill_zero(start, words as usize);
+                            paged.fill_zero(start, words as usize, 1);
                             dense.fill_zero(start, words as usize);
                         }
                     }

@@ -162,6 +162,172 @@ pub struct TrainBurst {
     pub words: usize,
 }
 
+/// `count` equal bursts of a train, each moving `words` words with `op`.
+/// Burst `k` starts at `addr + k * words`, or at `addr` for every `k` when
+/// `fixed` (state save and restore traffic reuses one scratch address).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstRun {
+    /// Read or write.
+    pub op: BusOp,
+    /// Start address of the first burst.
+    pub addr: Addr,
+    /// Words in each burst.
+    pub words: usize,
+    /// Number of bursts.
+    pub count: usize,
+    /// Every burst starts at `addr`.
+    pub fixed: bool,
+}
+
+impl BurstRun {
+    /// Start address of burst `k < count`. A run's addresses never pass
+    /// the end of the address space (the decoder refuses such runs).
+    pub(crate) fn addr_of(&self, k: usize) -> Addr {
+        if self.fixed {
+            self.addr
+        } else {
+            self.addr + k as u64 * self.words as u64
+        }
+    }
+
+    /// Where a burst continuing the run would start, `None` past the end
+    /// of the address space.
+    pub(crate) fn next_addr(&self) -> Option<Addr> {
+        if self.fixed {
+            return Some(self.addr);
+        }
+        (self.count as u64)
+            .checked_mul(self.words as u64)
+            .and_then(|span| self.addr.checked_add(span))
+    }
+
+    /// Burst `k` of the run.
+    fn burst(&self, k: usize) -> TrainBurst {
+        TrainBurst {
+            op: self.op,
+            addr: self.addr_of(k),
+            words: self.words,
+        }
+    }
+
+    /// Words moved by the first `n` bursts.
+    pub(crate) fn words_of(&self, n: usize) -> u64 {
+        n as u64 * self.words as u64
+    }
+}
+
+/// A train's bursts in issue order, as runs of equal bursts. The list is
+/// canonical: each burst joins the run before it whenever it continues
+/// that run, so equal burst sequences have equal run lists however they
+/// were pushed, and a controller-shaped load (save, image and restore,
+/// each full bursts plus a partial one) has at most six runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BurstRuns(Vec<BurstRun>);
+
+impl BurstRuns {
+    /// Append `run`'s bursts, merging into the last run where they continue
+    /// it. Equivalent to pushing the bursts one at a time, in O(1).
+    pub fn push(&mut self, mut run: BurstRun) {
+        if run.count == 0 {
+            return;
+        }
+        // A lone burst, or one that moves nothing, has no address step.
+        run.fixed &= run.count > 1 && run.words > 0;
+        if let Some(last) = self.0.last_mut() {
+            if last.op == run.op && last.words == run.words {
+                // The first burst continues `last`, or turns a lone `last`
+                // into a fixed run by starting at its address.
+                let fixed = if last.next_addr() == Some(run.addr) {
+                    Some(last.fixed)
+                } else if last.count == 1 && last.addr == run.addr {
+                    Some(true)
+                } else {
+                    None
+                };
+                if let Some(fixed) = fixed {
+                    last.fixed = fixed;
+                    if run.count == 1 || run.fixed == fixed {
+                        last.count += run.count;
+                        return;
+                    }
+                    // Only the first burst follows `last`'s step.
+                    last.count += 1;
+                    run.addr = run.addr_of(1);
+                    run.count -= 1;
+                    run.fixed &= run.count > 1;
+                }
+            }
+        }
+        self.0.push(run);
+    }
+
+    /// The runs, in issue order.
+    pub fn runs(&self) -> &[BurstRun] {
+        &self.0
+    }
+
+    /// Total bursts.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|r| r.count).sum()
+    }
+
+    /// No bursts at all?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Total words moved.
+    pub(crate) fn words(&self) -> u64 {
+        self.0.iter().map(|r| r.words_of(r.count)).sum()
+    }
+
+    /// The first `n` bursts.
+    pub(crate) fn prefix(&self, mut n: usize) -> BurstRuns {
+        let mut out = BurstRuns::default();
+        for &r in &self.0 {
+            if n == 0 {
+                break;
+            }
+            let count = r.count.min(n);
+            out.push(BurstRun { count, ..r });
+            n -= count;
+        }
+        out
+    }
+
+    /// Burst `i`, if the train has that many.
+    pub(crate) fn burst(&self, mut i: usize) -> Option<TrainBurst> {
+        for r in &self.0 {
+            if i < r.count {
+                return Some(r.burst(i));
+            }
+            i -= r.count;
+        }
+        None
+    }
+
+    /// Every burst, in issue order.
+    pub fn bursts(&self) -> impl Iterator<Item = TrainBurst> + '_ {
+        self.0.iter().flat_map(|r| (0..r.count).map(|k| r.burst(k)))
+    }
+}
+
+impl FromIterator<TrainBurst> for BurstRuns {
+    fn from_iter<I: IntoIterator<Item = TrainBurst>>(bursts: I) -> Self {
+        let mut runs = BurstRuns::default();
+        for b in bursts {
+            runs.push(BurstRun {
+                op: b.op,
+                addr: b.addr,
+                words: b.words,
+                count: 1,
+                fixed: false,
+            });
+        }
+        runs
+    }
+}
+
 /// Master → bus: offer to run a whole multi-burst configuration load as a
 /// single analytically-timed bus-occupancy window. The bus either accepts
 /// (answering later with [`ConfigTrainDone`] or [`ConfigTrainDecoalesced`])
@@ -176,7 +342,7 @@ pub struct ConfigTrain {
     /// Caller-chosen tag echoed in every outcome message.
     pub tag: u64,
     /// The bursts, in issue order.
-    pub bursts: Vec<TrainBurst>,
+    pub runs: BurstRuns,
 }
 
 /// Bus → master: the whole train completed without interference; simulated
@@ -238,7 +404,7 @@ pub struct ConfigTrainDecoalesced {
 #[derive(Debug, Clone)]
 pub struct BulkAccess {
     /// Completed bursts to account for.
-    pub bursts: Vec<TrainBurst>,
+    pub runs: BurstRuns,
     /// Port occupancy after the last completed burst (ignored when earlier
     /// than the slave's current horizon).
     pub busy_until: SimTime,

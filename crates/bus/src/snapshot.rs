@@ -20,9 +20,9 @@ use drcf_kernel::snapshot::{Codec, Decoder};
 
 use crate::dma::{DmaAutoRepeat, DmaDone, DmaProgram};
 use crate::protocol::{
-    BulkAccess, BusOp, BusRequest, BusResponse, BusStatus, ConfigTrain, ConfigTrainDecoalesced,
-    ConfigTrainDone, ConfigTrainRejected, DirectReadDone, DirectReadReq, InFlightBurst, ServeBurst,
-    SlaveAccess, SlaveReply, TrainBurst, Word,
+    BulkAccess, BurstRun, BurstRuns, BusOp, BusRequest, BusResponse, BusStatus, ConfigTrain,
+    ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, DirectReadDone, DirectReadReq,
+    InFlightBurst, ServeBurst, SlaveAccess, SlaveReply, Word,
 };
 
 /// Encode a [`BusOp`].
@@ -99,57 +99,73 @@ fn usizef(j: &Json, key: &str) -> Option<usize> {
     usize::try_from(u64f(j, key)?).ok()
 }
 
-/// Encode a burst list as its maximal contiguous runs, one
+/// Encode a train's bursts as their maximal contiguous runs, one
 /// `[op, addr, words, count]` array per run: `count` bursts of the same op
-/// and size, each starting where the previous one ended. A configuration
-/// train of hundreds of equal bursts over one address range is one or two
-/// runs, so the list costs its shape, not its length.
-pub fn burst_list_json(bursts: &[TrainBurst]) -> Json {
-    let mut runs = Vec::new();
-    let mut rest = bursts;
-    while let Some(&first) = rest.first() {
-        let count = 1 + rest[1..]
-            .iter()
-            .zip(rest)
-            .take_while(|&(b, prev)| {
-                b.op == first.op
-                    && b.words == first.words
-                    && prev.addr.checked_add(prev.words as u64) == Some(b.addr)
-            })
-            .count();
-        runs.push(Json::Arr(vec![
-            op_json(first.op),
-            ju64(first.addr),
-            ju64(first.words as u64),
-            ju64(count as u64),
-        ]));
-        rest = &rest[count..];
+/// and size, each starting where the previous one ended. A fixed-address
+/// run is written as `count` one-burst runs, and runs that continue one
+/// another are merged, so the document is a function of the bursts alone.
+pub fn burst_list_json(runs: &BurstRuns) -> Json {
+    // Contiguous pieces: a fixed run splits into its single bursts.
+    let pieces = runs.runs().iter().flat_map(|r| {
+        let (n, count) = if r.fixed { (r.count, 1) } else { (1, r.count) };
+        std::iter::repeat_n(
+            BurstRun {
+                count,
+                fixed: false,
+                ..*r
+            },
+            n,
+        )
+    });
+    let mut merged: Vec<BurstRun> = Vec::new();
+    for p in pieces {
+        match merged.last_mut() {
+            Some(m) if m.op == p.op && m.words == p.words && m.next_addr() == Some(p.addr) => {
+                m.count += p.count;
+            }
+            _ => merged.push(p),
+        }
     }
-    Json::Arr(runs)
+    Json::Arr(
+        merged
+            .iter()
+            .map(|r| {
+                Json::Arr(vec![
+                    op_json(r.op),
+                    ju64(r.addr),
+                    ju64(r.words as u64),
+                    ju64(r.count as u64),
+                ])
+            })
+            .collect(),
+    )
 }
 
-/// Decode a burst list written by [`burst_list_json`], expanding each run.
-/// A run of zero bursts, or one whose addresses overflow, is malformed.
-pub fn burst_list_of(j: &Json) -> Option<Vec<TrainBurst>> {
-    let mut bursts = Vec::new();
+/// Decode a burst list written by [`burst_list_json`] into its canonical
+/// runs. A run of zero bursts, or one whose addresses overflow, is
+/// malformed.
+pub fn burst_list_of(j: &Json) -> Option<BurstRuns> {
+    let mut runs = BurstRuns::default();
     for run in j.as_arr()? {
         let [op, addr, words, count] = run.as_arr()? else {
             return None;
         };
-        let (op, mut addr) = (op_of(op)?, ju64_of(addr)?);
+        let (op, addr) = (op_of(op)?, ju64_of(addr)?);
         let words = usize::try_from(ju64_of(words)?).ok()?;
-        let count = ju64_of(count)?;
-        if count == 0 {
-            return None;
-        }
-        for k in 0..count {
-            if k > 0 {
-                addr = addr.checked_add(words as u64)?;
-            }
-            bursts.push(TrainBurst { op, addr, words });
-        }
+        let count = usize::try_from(ju64_of(count)?).ok()?;
+        (count as u64)
+            .checked_sub(1)?
+            .checked_mul(words as u64)
+            .and_then(|span| addr.checked_add(span))?;
+        runs.push(BurstRun {
+            op,
+            addr,
+            words,
+            count,
+            fixed: false,
+        });
     }
-    Some(bursts)
+    Some(runs)
 }
 
 /// Decoders for every payload type the bus crate can leave in flight
@@ -265,14 +281,14 @@ impl Codec for ConfigTrain {
             .with("master", ju64(self.master as u64))
             .with("priority", Json::Num(self.priority as f64))
             .with("tag", ju64(self.tag))
-            .with("bursts", burst_list_json(&self.bursts))
+            .with("bursts", burst_list_json(&self.runs))
     }
     fn decode(j: &Json) -> Option<ConfigTrain> {
         Some(ConfigTrain {
             master: usizef(j, "master")?,
             priority: u8::try_from(u64f(j, "priority")?).ok()?,
             tag: u64f(j, "tag")?,
-            bursts: burst_list_of(j.get("bursts")?)?,
+            runs: burst_list_of(j.get("bursts")?)?,
         })
     }
 }
@@ -328,7 +344,7 @@ impl Codec for BulkAccess {
             None => Json::Null,
         };
         Json::obj()
-            .with("bursts", burst_list_json(&self.bursts))
+            .with("bursts", burst_list_json(&self.runs))
             .with("busy_until", time_json(self.busy_until))
             .with("serve", serve)
     }
@@ -342,7 +358,7 @@ impl Codec for BulkAccess {
             }),
         };
         Some(BulkAccess {
-            bursts: burst_list_of(j.get("bursts")?)?,
+            runs: burst_list_of(j.get("bursts")?)?,
             busy_until: time_of(j.get("busy_until")?)?,
             serve,
         })
@@ -373,6 +389,8 @@ impl Codec for DmaAutoRepeat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::tests::Lcg;
+    use crate::protocol::TrainBurst;
     use drcf_kernel::snapshot::Payload;
     use std::any::Any;
     use std::collections::BTreeSet;
@@ -403,13 +421,17 @@ mod tests {
         }
     }
 
-    fn bursts() -> Vec<TrainBurst> {
+    fn bursts() -> BurstRuns {
         let b = |op, addr, words| TrainBurst { op, addr, words };
-        vec![
+        [
             b(BusOp::Write, 0x100, 8),
             b(BusOp::Write, 0x108, 8),
             b(BusOp::Read, 0x200, 4),
+            b(BusOp::Read, 0x300, 4),
+            b(BusOp::Read, 0x300, 4),
         ]
+        .into_iter()
+        .collect()
     }
 
     fn program() -> DmaProgram {
@@ -447,7 +469,7 @@ mod tests {
                 master: 6,
                 priority: 255,
                 tag: BIG_ID,
-                bursts: bursts(),
+                runs: bursts(),
             }),
             Box::new(ConfigTrainDone {
                 tag: 7,
@@ -471,7 +493,7 @@ mod tests {
                 in_flight: None,
             }),
             Box::new(BulkAccess {
-                bursts: bursts(),
+                runs: bursts(),
                 busy_until: SimTime(u64::MAX),
                 serve: Some(ServeBurst {
                     req: req(),
@@ -480,7 +502,7 @@ mod tests {
                 }),
             }),
             Box::new(BulkAccess {
-                bursts: Vec::new(),
+                runs: BurstRuns::default(),
                 busy_until: SimTime(0),
                 serve: None,
             }),
@@ -582,5 +604,84 @@ mod tests {
             covered.insert(name);
         }
         assert_eq!(covered, names, "one sample per decoder");
+    }
+
+    /// The burst-list encoding as it was written burst by burst: maximal
+    /// runs of bursts of one op and size, each starting where the previous
+    /// one ended. The reference for [`burst_list_json`].
+    fn reference_burst_list_json(bursts: &[TrainBurst]) -> Json {
+        let mut runs = Vec::new();
+        let mut rest = bursts;
+        while let Some(&first) = rest.first() {
+            let count = 1 + rest[1..]
+                .iter()
+                .zip(rest)
+                .take_while(|&(b, prev)| {
+                    b.op == first.op
+                        && b.words == first.words
+                        && prev.addr.checked_add(prev.words as u64) == Some(b.addr)
+                })
+                .count();
+            runs.push(Json::Arr(vec![
+                op_json(first.op),
+                ju64(first.addr),
+                ju64(first.words as u64),
+                ju64(count as u64),
+            ]));
+            rest = &rest[count..];
+        }
+        Json::Arr(runs)
+    }
+
+    /// Random burst lists built from contiguous, fixed-address and partial
+    /// groups encode exactly as burst by burst, and decode to the runs they
+    /// came from: the canonical run list of a burst sequence is unique,
+    /// however it was pushed.
+    #[test]
+    fn burst_runs_encode_as_the_per_burst_list() {
+        let mut rng = Lcg(0x656e_636f);
+        for case in 0..500 {
+            let mut bursts = Vec::new();
+            let mut pushed = BurstRuns::default();
+            for _ in 0..rng.range(1, 8) {
+                let op = if rng.flip() {
+                    BusOp::Write
+                } else {
+                    BusOp::Read
+                };
+                // Small addresses and sizes, so groups often continue one
+                // another.
+                let words = rng.range(0, 4) as usize;
+                let addr = match bursts.last() {
+                    Some(&TrainBurst { addr, words, .. }) if rng.flip() => {
+                        addr + [0, words as u64][rng.range(0, 1) as usize]
+                    }
+                    _ => rng.range(0, 64),
+                };
+                let run = BurstRun {
+                    op,
+                    addr,
+                    words,
+                    count: rng.range(1, 5) as usize,
+                    fixed: rng.flip(),
+                };
+                pushed.push(run);
+                bursts.extend((0..run.count).map(|k| TrainBurst {
+                    op,
+                    addr: run.addr_of(k),
+                    words,
+                }));
+            }
+            let one_by_one: BurstRuns = bursts.iter().copied().collect();
+            assert_eq!(pushed, one_by_one, "case {case}: {bursts:?}");
+            assert_eq!(pushed.bursts().collect::<Vec<_>>(), bursts, "case {case}");
+            let doc = burst_list_json(&pushed);
+            assert_eq!(
+                doc.to_string(),
+                reference_burst_list_json(&bursts).to_string(),
+                "case {case}"
+            );
+            assert_eq!(burst_list_of(&doc), Some(pushed), "case {case}");
+        }
     }
 }

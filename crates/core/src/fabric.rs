@@ -23,9 +23,9 @@
 use std::collections::VecDeque;
 
 use drcf_bus::prelude::{
-    apply_request, BusOp, BusResponse, BusStatus, ConfigTrain, ConfigTrainDecoalesced,
-    ConfigTrainDone, ConfigTrainRejected, DirectReadDone, DirectReadReq, MasterPort, SlaveAccess,
-    SlaveReply, TrainBurst,
+    apply_request, BurstRun, BurstRuns, BusOp, BusResponse, BusStatus, ConfigTrain,
+    ConfigTrainDecoalesced, ConfigTrainDone, ConfigTrainRejected, DirectReadDone, DirectReadReq,
+    MasterPort, SlaveAccess, SlaveReply,
 };
 use drcf_bus::snapshot::{time_json, time_of};
 use drcf_kernel::json::{ju64, Json};
@@ -636,67 +636,58 @@ impl Drcf {
         }
     }
 
-    /// The per-burst chunk sequence of the load's remaining words, in issue
-    /// order — exactly the bursts [`Drcf::issue_bus_burst`] would generate
-    /// one at a time. Shared by the train offer and the de-coalesce
-    /// accounting so both agree with the per-burst world.
-    fn train_bursts(load: &LoadOp, burst: usize) -> Vec<TrainBurst> {
-        let mut v = Vec::new();
-        let mut save = load.save_remaining;
-        while save > 0 {
-            let words = (save as usize).min(burst);
-            v.push(TrainBurst {
-                op: BusOp::Write,
-                addr: load.state_addr,
-                words,
-            });
-            save -= words as u64;
-        }
-        let mut image = load.image_remaining;
-        let mut addr = load.next_addr;
-        while image > 0 {
-            let words = (image as usize).min(burst);
-            v.push(TrainBurst {
-                op: BusOp::Read,
+    /// The load's remaining words as train runs, in issue order — exactly
+    /// the bursts [`Drcf::issue_bus_burst`] would generate one at a time:
+    /// state save writes and restore reads at the scratch address, image
+    /// reads from the next image address, each group as full bursts plus
+    /// at most one partial burst.
+    fn train_runs(load: &LoadOp, burst: usize) -> BurstRuns {
+        let mut runs = BurstRuns::default();
+        let groups = [
+            (BusOp::Write, load.state_addr, load.save_remaining, true),
+            (BusOp::Read, load.next_addr, load.image_remaining, false),
+            (BusOp::Read, load.state_addr, load.restore_remaining, true),
+        ];
+        for (op, addr, words, fixed) in groups {
+            let (full, partial) = (words / burst as u64, words % burst as u64);
+            runs.push(BurstRun {
+                op,
                 addr,
-                words,
+                words: burst,
+                count: full as usize,
+                fixed,
             });
-            addr += words as u64;
-            image -= words as u64;
-        }
-        let mut restore = load.restore_remaining;
-        while restore > 0 {
-            let words = (restore as usize).min(burst);
-            v.push(TrainBurst {
-                op: BusOp::Read,
-                addr: load.state_addr,
-                words,
+            runs.push(BurstRun {
+                op,
+                addr: if fixed {
+                    addr
+                } else {
+                    addr + full * burst as u64
+                },
+                words: partial as usize,
+                count: usize::from(partial > 0),
+                fixed,
             });
-            restore -= words as u64;
         }
-        v
+        runs
     }
 
-    /// Apply a de-coalesced train's completed burst prefix to the load
-    /// accounting, replaying the same save/image/restore classification the
-    /// per-burst responses would have performed.
-    fn apply_train_progress(load: &mut LoadOp, bursts: &[TrainBurst]) {
-        for b in bursts {
-            match b.op {
-                BusOp::Write => {
-                    load.save_remaining = load.save_remaining.saturating_sub(b.words as u64);
-                }
-                BusOp::Read => {
-                    if load.image_remaining > 0 {
-                        load.image_remaining = load.image_remaining.saturating_sub(b.words as u64);
-                        load.next_addr += b.words as u64;
-                    } else {
-                        load.restore_remaining =
-                            load.restore_remaining.saturating_sub(b.words as u64);
-                    }
-                }
-            }
-        }
+    /// Apply a de-coalesced train's first `done` bursts to the load
+    /// accounting: whole bursts of `burst` words through the save, the
+    /// image and the restore in turn, the last of each group partial —
+    /// what the per-burst responses would have recorded.
+    fn apply_train_progress(load: &mut LoadOp, mut done: u64, burst: usize) {
+        let burst = burst as u64;
+        let mut take = |remaining: &mut u64| {
+            let n = done.min(remaining.div_ceil(burst));
+            done -= n;
+            let words = (n * burst).min(*remaining);
+            *remaining -= words;
+            words
+        };
+        take(&mut load.save_remaining);
+        load.next_addr += take(&mut load.image_remaining);
+        take(&mut load.restore_remaining);
     }
 
     /// Offer the whole remaining load to the bus as one coalesced train.
@@ -706,8 +697,8 @@ impl Drcf {
         let Some(load) = self.loading.as_mut() else {
             return false;
         };
-        let bursts = Self::train_bursts(load, burst);
-        if bursts.is_empty() {
+        let runs = Self::train_runs(load, burst);
+        if runs.is_empty() {
             return false;
         }
         let Some(port) = self.port.as_ref() else {
@@ -724,7 +715,7 @@ impl Drcf {
                 master,
                 priority,
                 tag,
-                bursts,
+                runs,
             },
             Delay::Delta,
         );
@@ -802,9 +793,7 @@ impl Drcf {
         };
         debug_assert!(load.train_pending, "train de-coalesce without an offer");
         load.train_pending = false;
-        let bursts = Self::train_bursts(load, burst);
-        let done = d.done_bursts.min(bursts.len());
-        Self::apply_train_progress(load, &bursts[..done]);
+        Self::apply_train_progress(load, d.done_bursts as u64, burst);
         match d.in_flight {
             Some(f) => {
                 // Replicate the issue-time bookkeeping of the per-burst
@@ -1802,5 +1791,80 @@ mod tests {
             5 * 200 + 5 * 300,
             "every switch streams its context"
         );
+    }
+
+    /// The load a configuration controller has left: `save`, `image` and
+    /// `restore` words, image from 0x1000, state at 0x800.
+    fn load_op(save: u64, image: u64, restore: u64) -> LoadOp {
+        LoadOp {
+            ctx: 0,
+            save_remaining: save,
+            image_remaining: image,
+            restore_remaining: restore,
+            next_addr: 0x1000,
+            state_addr: 0x800,
+            save_in_flight: 0,
+            save_total: save,
+            restore_total: restore,
+            prefetch: false,
+            started: SimTime::ZERO,
+            train_pending: false,
+        }
+    }
+
+    /// The train's runs expand to exactly the chunks `issue_bus_burst`
+    /// issues one per response, and a de-coalesce after any number of
+    /// bursts leaves the load where those responses would have.
+    #[test]
+    fn train_runs_match_the_per_burst_chunks() {
+        for (save, image, restore, burst) in [
+            (0, 1, 0, 1),
+            (0, 100, 0, 16),
+            (37, 100, 37, 16),
+            (32, 64, 16, 16),
+            (5, 3, 9, 4),
+            (40, 0, 7, 8),
+            (1, 1, 1, 8),
+        ] {
+            let view = |l: &LoadOp| {
+                (
+                    l.save_remaining,
+                    l.image_remaining,
+                    l.restore_remaining,
+                    l.next_addr,
+                )
+            };
+            // The per-burst world: chunks of `burst`, save then image then
+            // restore, each response retiring its chunk.
+            let mut load = load_op(save, image, restore);
+            let (mut chunks, mut after) = (Vec::new(), vec![view(&load)]);
+            let b = burst as u64;
+            while load.save_remaining + load.image_remaining + load.restore_remaining > 0 {
+                if load.save_remaining > 0 {
+                    let words = load.save_remaining.min(b);
+                    chunks.push((BusOp::Write, load.state_addr, words as usize));
+                    load.save_remaining -= words;
+                } else if load.image_remaining > 0 {
+                    let words = load.image_remaining.min(b);
+                    chunks.push((BusOp::Read, load.next_addr, words as usize));
+                    load.image_remaining -= words;
+                    load.next_addr += words;
+                } else {
+                    let words = load.restore_remaining.min(b);
+                    chunks.push((BusOp::Read, load.state_addr, words as usize));
+                    load.restore_remaining -= words;
+                }
+                after.push(view(&load));
+            }
+            let runs = Drcf::train_runs(&load_op(save, image, restore), burst);
+            let got: Vec<_> = runs.bursts().map(|b| (b.op, b.addr, b.words)).collect();
+            assert_eq!(got, chunks, "{save}/{image}/{restore} by {burst}");
+            assert!(runs.runs().len() <= 6);
+            for (done, want) in after.iter().enumerate() {
+                let mut load = load_op(save, image, restore);
+                Drcf::apply_train_progress(&mut load, done as u64, burst);
+                assert_eq!(view(&load), *want, "{done} bursts done");
+            }
+        }
     }
 }

@@ -171,9 +171,10 @@ where
 /// the same sweep, aligned with `points` (it may be shorter, or empty);
 /// `Some` entries are returned verbatim without simulating. `on_record` is
 /// invoked on the worker for every freshly evaluated record before it is
-/// merged — append it to durable storage there and an interruption at any
-/// instant loses at most the points in flight. Recovered records are not
-/// re-announced.
+/// merged, in completion order — append it to durable storage there and an
+/// interruption at any instant loses at most the points in flight. A caller
+/// that holds records back to store them in point order also loses the
+/// completed ones still held. Recovered records are not re-announced.
 ///
 /// Same ordering and fault-isolation contract as [`sweep`]: one record per
 /// point, in input order, panics becoming `RunRecord::failed` entries.

@@ -45,22 +45,17 @@ impl BusyTracker {
         }
     }
 
-    /// Apply busy periods `[start, end)` in time order: the state that
-    /// `set_busy(start)` then `set_idle(end)` for each period leaves. Only
-    /// the first period can find the resource already busy; every later
-    /// one starts from idle.
-    pub fn add_busy_periods(&mut self, periods: impl IntoIterator<Item = (SimTime, SimTime)>) {
-        let mut periods = periods.into_iter();
-        let Some((start, end)) = periods.next() else {
+    /// Apply `count` busy periods of `total` combined length to the idle
+    /// resource, the last one starting at `last_start`: the state that a
+    /// `set_busy`/`set_idle` pair per period leaves, in O(1).
+    pub fn add_busy_periods(&mut self, count: u64, total: SimDuration, last_start: SimTime) {
+        debug_assert!(!self.busy, "busy periods added to a busy resource");
+        if count == 0 {
             return;
-        };
-        self.set_busy(start);
-        self.set_idle(end);
-        for (start, end) in periods {
-            self.since = start;
-            self.accumulated += end.since(start);
-            self.activations += 1;
         }
+        self.since = last_start;
+        self.accumulated += total;
+        self.activations += count;
     }
 
     /// Is the resource currently busy?

@@ -16,12 +16,13 @@
 //! pool drains it; per-key locks (in-process) and leases (cross-process)
 //! collapse concurrent identical requests into one simulation.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -133,7 +134,13 @@ fn prefix_snapshot(
 }
 
 /// Evaluate the sweep's missing points from the fork snapshot, appending
-/// each completed record to the durable log before it is reported.
+/// each completed record to the durable log in point order. Workers finish
+/// points in any order, so a record waits in `held` until every point
+/// before it is in the log (recovered points already are); one thread at
+/// a time appends, outside the lock. A crash loses the points in flight
+/// and the completed records waiting behind them; all of them are
+/// re-simulated on the next request. Records still held when the sweep
+/// returns (behind a point whose worker died) are appended then.
 fn run_missing(
     store: &SnapshotStore,
     key: u64,
@@ -144,7 +151,13 @@ fn run_missing(
     done: &[Option<RunRecord>],
 ) -> Vec<RunRecord> {
     let fork_ns = req.fork_ns;
-    sweep_warm_fork(
+    // Best-effort durability: a failed append only costs resumability.
+    let append = |i: usize, rec: &RunRecord| {
+        let _ = store.append_record(key, fork_ns, req.points[i], rec);
+    };
+    let order = Mutex::new(InOrder::default());
+    let lock = || order.lock().unwrap_or_else(PoisonError::into_inner);
+    let records = sweep_warm_fork(
         &req.points,
         fork,
         || restore_soc(w, spec, fork),
@@ -163,10 +176,43 @@ fn run_missing(
         },
         done,
         |i, rec| {
-            // Best-effort durability: a failed append only costs resumability.
-            let _ = store.append_record(key, fork_ns, req.points[i], rec);
+            let mut o = lock();
+            o.held.insert(i, rec.clone());
+            if o.appending {
+                // The appending thread reaches this record.
+                return;
+            }
+            o.appending = true;
+            loop {
+                while done.get(o.next).is_some_and(Option::is_some) {
+                    o.next += 1;
+                }
+                let point = o.next;
+                let Some(rec) = o.held.remove(&point) else {
+                    o.appending = false;
+                    return;
+                };
+                o.next += 1;
+                drop(o);
+                append(point, &rec);
+                o = lock();
+            }
         },
-    )
+    );
+    for (i, rec) in &lock().held {
+        append(*i, rec);
+    }
+    records
+}
+
+/// Completed sweep records waiting to be appended in point order.
+#[derive(Default)]
+struct InOrder {
+    /// The next point to append.
+    next: usize,
+    held: BTreeMap<usize, RunRecord>,
+    /// A thread is appending.
+    appending: bool,
 }
 
 /// Answer `req` entirely from the record log, if every point is there.

@@ -149,3 +149,34 @@ fn manifest_inventories_entries() {
         "{text}"
     );
 }
+
+/// The record log of a sweep lists its points in request order, whatever
+/// order the workers finished them in, so two stores fed the same request
+/// hold byte-identical logs.
+#[test]
+fn record_log_follows_point_order() {
+    let req = SweepRequest::small(4_000, vec![600, 150, 450, 300, 750, 200]);
+    let logs: Vec<String> = ["order-a", "order-b"]
+        .into_iter()
+        .map(|tag| {
+            let scratch = Scratch::new(tag);
+            let reply = process_sweep(&scratch.store(), &req).expect("sweep");
+            assert_eq!(reply.simulated, req.points.len());
+            let log = scratch
+                .dir
+                .join(format!("{:016x}", req.key()))
+                .join(format!("records-{}.jsonl", req.fork_ns));
+            std::fs::read_to_string(log).expect("record log")
+        })
+        .collect();
+    assert_eq!(logs[0], logs[1], "the two stores' record logs");
+    let points: Vec<u64> = logs[0]
+        .lines()
+        .map(|l| {
+            let rest = l.strip_prefix("{\"point\":").expect("a record line");
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+            digits.and_then(|d| d.parse().ok()).expect("a point")
+        })
+        .collect();
+    assert_eq!(points, req.points);
+}
